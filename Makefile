@@ -92,8 +92,9 @@ fold-bench: build
 adv-bench: build
 	dune exec bench/adv_bench.exe
 
-# Long-run differential fuzz campaign over the SAT core and the bit-vector
-# poison paths (the runtest default is 5000 CNF + 1000 round-trip cases).
+# Long-run differential fuzz campaign over the SAT core, the bit-vector
+# poison paths and the Expr normal form against a reference evaluator (the
+# runtest default is 5000 CNF, 1000 round-trip and 2000 normal-form cases).
 fuzz: build
 	VERIOPT_FUZZ_N=50000 dune exec test/test_main.exe -- test sat-fuzz
 	VERIOPT_FUZZ_N=50000 dune exec test/test_main.exe -- test smt

@@ -418,7 +418,7 @@ let run_verify_bench () =
 (* robust-bench: the resilience layer under chaos.  Two phases:
 
    1. Deadline latency: verify a workload laced with SMT-hostile queries
-      (bit-blasted mul commutativity) with and without a wall-clock
+      (bit-blasted mul reassociation) with and without a wall-clock
       deadline, and report p50/p99/max per-call latency for both legs —
       the deadline must bound the tail.
 
@@ -440,18 +440,9 @@ let run_robust_bench () =
   let ds = S.build ~verify:false ~seed0:737373 ~n:12 () in
   let samples = ds.S.samples in
   (* --- phase 1: deadline-bounded tail latency ---------------------- *)
-  (* mul commutativity is trivial algebraically and brutal bit-blasted:
-     exactly the hostile-completion shape the deadline exists for *)
-  let hostile =
-    let text op =
-      Fmt.str "define i12 @f(i12 %%x, i12 %%y) {\nentry:\n  %%r = mul i12 %s\n  ret i12 %%r\n}"
-        op
-    in
-    let m = Veriopt_ir.Parser.parse_module (text "%x, %y") in
-    let src = List.hd m.Veriopt_ir.Ast.funcs in
-    let tgt = List.hd (Veriopt_ir.Parser.parse_module (text "%y, %x")).Veriopt_ir.Ast.funcs in
-    (m, src, tgt)
-  in
+  (* mul reassociation is trivial algebraically and only search can decide
+     it: exactly the hostile-completion shape the deadline exists for *)
+  let hostile = Veriopt_serve.Workload.assoc_pair 12 in
   let easy_pairs = List.map (fun (s : S.sample) -> (s.S.modul, s.S.src, s.S.label)) samples in
   let pairs = easy_pairs @ [ hostile; hostile; hostile ] in
   let deadline_budget = 0.05 in
@@ -598,7 +589,7 @@ let run_robust_bench () =
 (* ------------------------------------------------------------------ *)
 (* sat-bench: the clause-DB reduction knob on SMT-hostile queries.
 
-   Bit-blasted mul commutativity is the chaos bench's canonical hostile
+   Bit-blasted mul reassociation is the chaos bench's canonical hostile
    shape: algebraically trivial, brutal for CDCL.  Each width is verified
    twice — reduction off (the seed solver's behavior) and on — with the
    same conflict budget.  Reports wall time, conflicts/sec and clause-DB
@@ -609,13 +600,7 @@ let run_sat_bench () =
   header "SAT-BENCH (clause-DB reduction on SMT-hostile queries)";
   let module Solver = Veriopt_smt.Solver in
   let hostile_pair w =
-    let text op =
-      Fmt.str "define i%d @f(i%d %%x, i%d %%y) {\nentry:\n  %%r = mul i%d %s\n  ret i%d %%r\n}"
-        w w w w op w
-    in
-    let m = Veriopt_ir.Parser.parse_module (text "%x, %y") in
-    let src = List.hd m.Veriopt_ir.Ast.funcs in
-    let tgt = List.hd (Veriopt_ir.Parser.parse_module (text "%y, %x")).Veriopt_ir.Ast.funcs in
+    let m, src, tgt = Veriopt_serve.Workload.assoc_pair w in
     (w, m, src, tgt)
   in
   let widths = [ 9; 10; 11 ] in
@@ -666,7 +651,7 @@ let run_sat_bench () =
       name secs sat.Solver.conflicts (cps secs sat) sat.Solver.learned sat.Solver.deleted
       sat.Solver.reductions sat.Solver.db_peak
   in
-  Fmt.pf fmt "  queries: bit-blasted mul commutativity at widths %a, %d-conflict budget@."
+  Fmt.pf fmt "  queries: bit-blasted mul reassociation at widths %a, %d-conflict budget@."
     Fmt.(list ~sep:comma int)
     widths max_conflicts;
   leg_line "reduction off" off_secs off_sat;
@@ -724,7 +709,7 @@ let run_sat_bench () =
 (* proc-bench: the fork-based isolation backend (--isolate proc).
 
    Phase 1 (kill latency): one worker slot, 100% worker_hang injection, a
-   50ms deadline on the SMT-hostile mul-commutativity pair — every call
+   50ms deadline on the SMT-hostile mul-reassociation pair — every call
    must degrade to an uncached Inconclusive via SIGKILL within ~2x the
    budget.  An easy query between kills reads the replacement worker's pid
    notice and resets the slot's failure backoff, so the sweep measures kill
@@ -760,16 +745,7 @@ let run_proc_bench () =
     if Engine.isolate e <> Engine.Proc then
       skip "fork refused (a domain already exists in this process)"
     else begin
-      let hostile_m, hostile_src, hostile_tgt =
-        let text op =
-          Fmt.str
-            "define i12 @f(i12 %%x, i12 %%y) {\nentry:\n  %%r = mul i12 %s\n  ret i12 %%r\n}" op
-        in
-        let m = Veriopt_ir.Parser.parse_module (text "%x, %y") in
-        ( m,
-          List.hd m.Veriopt_ir.Ast.funcs,
-          List.hd (Veriopt_ir.Parser.parse_module (text "%y, %x")).Veriopt_ir.Ast.funcs )
-      in
+      let hostile_m, hostile_src, hostile_tgt = Veriopt_serve.Workload.assoc_pair 12 in
       let easy_m =
         Veriopt_ir.Parser.parse_module
           "define i8 @f(i8 %x) {\nentry:\n  %r = add i8 %x, 0\n  ret i8 %r\n}"
@@ -894,11 +870,12 @@ let run_proc_bench () =
 
    The workload is loops with DATA-DEPENDENT exits: the iteration count is
    an input, so every unroll depth admits real terminating executions and
-   proving depth d means re-establishing every frame k < d of a commuted
-   mul chain.  That is the shape where deepening has something to reuse —
-   a counting loop with a fixed bound is vacuous at shallow depths (the
-   exit is unreachable, the query propagates to Unsat with no search), so
-   all its proof work lands once at the final depth in every leg.  Each
+   proving depth d means re-establishing every frame k < d of a
+   reassociated mul chain.  That is the shape where deepening has
+   something to reuse — a counting loop with a fixed bound is vacuous at
+   shallow depths (the exit is unreachable, the query propagates to Unsat
+   with no search), so all its proof work lands once at the final depth
+   in every leg.  Each
    pair is verified three ways under the same conflict budget:
 
    - incremental: one solver session walks the 1 -> 2 -> 4 schedule,
@@ -932,24 +909,10 @@ let run_incr_bench () =
       if Engine.isolate e = Engine.Proc then Some e else None
     end
   in
-  (* %z iterations of s <- (s * y) + k, returning the accumulator: the exit
+  (* %z iterations of s <- s*y*v + k, returning the accumulator: the exit
      is data-dependent, so depth d's proof covers z in {0..d-1} and must
-     re-prove mul commutativity for every frame below d. *)
-  let chain_pair ?(src_k = 3) ?(tgt_k = 3) w =
-    let text mul k =
-      Fmt.str
-        "define i%d @f(i%d %%x, i%d %%y, i%d %%z) {\nentry:\n  br label %%h\nh:\n  %%i = phi \
-         i%d [ 0, %%entry ], [ %%i2, %%b ]\n  %%s = phi i%d [ %%x, %%entry ], [ %%s2, %%b ]\n  \
-         %%c = icmp eq i%d %%i, %%z\n  br i1 %%c, label %%x, label %%b\nb:\n  %%m = mul i%d \
-         %s\n  %%s2 = add i%d %%m, %d\n  %%i2 = add i%d %%i, 1\n  br label %%h\nx:\n  ret i%d \
-         %%s\n}"
-        w w w w w w w w mul w k w w
-    in
-    let m = Veriopt_ir.Parser.parse_module (text "%s, %y" src_k) in
-    ( m,
-      List.hd m.Veriopt_ir.Ast.funcs,
-      List.hd (Veriopt_ir.Parser.parse_module (text "%y, %s" tgt_k)).Veriopt_ir.Ast.funcs )
-  in
+     re-prove the mul reassociation for every frame below d. *)
+  let chain_pair = Veriopt_serve.Workload.assoc_chain_pair in
   let count_pair bound ret =
     let src =
       Fmt.str
@@ -966,10 +929,10 @@ let run_incr_bench () =
   in
   let pairs =
     [
-      ("mul-chain-i7", chain_pair 7);
-      ("mul-chain-i7-k11", chain_pair ~src_k:11 ~tgt_k:11 7);
-      ("mul-chain-i7-k13", chain_pair ~src_k:13 ~tgt_k:13 7);
-      ("mul-chain-i7-wrong", chain_pair ~src_k:3 ~tgt_k:4 7);
+      ("mul-chain-i5", chain_pair 5);
+      ("mul-chain-i5-k11", chain_pair ~src_k:11 ~tgt_k:11 5);
+      ("mul-chain-i5-k13", chain_pair ~src_k:13 ~tgt_k:13 5);
+      ("mul-chain-i5-wrong", chain_pair ~src_k:3 ~tgt_k:4 5);
       ("count-3", count_pair 3 3);
       ("count-3-wrong", count_pair 3 4);
       ("count-100", count_pair 100 100);
@@ -1131,7 +1094,7 @@ let run_incr_bench () =
 (* portfolio-bench: diversified SAT portfolio + cube-and-conquer racing.
 
    The workload is the SMT-hostile shape of this codebase: mul
-   commutativity, algebraically trivial and brutal bit-blasted, as flat
+   reassociation, algebraically trivial and brutal bit-blasted, as flat
    pairs at growing widths plus a mul-chain loop pair, with one deliberately
    wrong pair so the counterexample path races too.  Each pair is verified
    two ways under the same conflict budget:
@@ -1173,46 +1136,19 @@ let run_portfolio_bench () =
       end
     end
   in
-  let mul_pair ?(delta = 0) w =
-    let flat op tail =
-      Fmt.str "define i%d @f(i%d %%x, i%d %%y) {\nentry:\n  %%r = mul i%d %s\n%s}" w w w w op
-        tail
-    in
-    let src_text = flat "%x, %y" (Fmt.str "  ret i%d %%r\n" w) in
-    let tgt_text =
-      if delta = 0 then flat "%y, %x" (Fmt.str "  ret i%d %%r\n" w)
-      else flat "%y, %x" (Fmt.str "  %%r2 = add i%d %%r, %d\n  ret i%d %%r2\n" w delta w)
-    in
-    let m = Veriopt_ir.Parser.parse_module src_text in
-    ( m,
-      List.hd m.Veriopt_ir.Ast.funcs,
-      List.hd (Veriopt_ir.Parser.parse_module tgt_text).Veriopt_ir.Ast.funcs )
-  in
-  (* the incr-bench chain shape: %z iterations of s <- (s * y) + 3, with the
-     mul commuted between source and target *)
-  let chain_pair w =
-    let text mul =
-      Fmt.str
-        "define i%d @f(i%d %%x, i%d %%y, i%d %%z) {\nentry:\n  br label %%h\nh:\n  %%i = phi \
-         i%d [ 0, %%entry ], [ %%i2, %%b ]\n  %%s = phi i%d [ %%x, %%entry ], [ %%s2, %%b ]\n  \
-         %%c = icmp eq i%d %%i, %%z\n  br i1 %%c, label %%x, label %%b\nb:\n  %%m = mul i%d \
-         %s\n  %%s2 = add i%d %%m, 3\n  %%i2 = add i%d %%i, 1\n  br label %%h\nx:\n  ret i%d \
-         %%s\n}"
-        w w w w w w w w mul w w w
-    in
-    let m = Veriopt_ir.Parser.parse_module (text "%s, %y") in
-    ( m,
-      List.hd m.Veriopt_ir.Ast.funcs,
-      List.hd (Veriopt_ir.Parser.parse_module (text "%y, %s")).Veriopt_ir.Ast.funcs )
-  in
-  (* i9 is the heavyweight (~a minute single-solver on a dev box); i10+
-     climbs past two minutes apiece, too slow for a gate bench *)
+  let mul_pair = Veriopt_serve.Workload.assoc_pair in
+  (* the incr-bench chain shape: %z iterations of s <- s*y*v + 3, with the
+     product reassociated between source and target *)
+  let chain_pair = Veriopt_serve.Workload.assoc_chain_pair in
+  (* the i6 chain is the heavyweight (~2.5 minutes single-solver on a
+     2-core box) and the pair where racing pays; the flat pairs finish in
+     seconds, and flat i7 also climbs past two minutes *)
   let pairs =
     [
-      ("mul-comm-i8", mul_pair 8);
-      ("mul-comm-i9", mul_pair 9);
-      ("mul-comm-i9-wrong", mul_pair ~delta:1 9);
-      ("mul-chain-i7", chain_pair 7);
+      ("mul-assoc-i5", mul_pair 5);
+      ("mul-assoc-i6", mul_pair 6);
+      ("mul-assoc-i6-wrong", mul_pair ~delta:1 6);
+      ("mul-chain-i6", chain_pair 6);
     ]
   in
   let cat_name = function
@@ -1258,7 +1194,7 @@ let run_portfolio_bench () =
        first to conclude wins and the rest are SIGKILLed mid-flight, which
        is what pins loser reaping and the reap-promptness ratio *)
     let pure_t0 = Unix.gettimeofday () in
-    let pure_m, pure_src, pure_tgt = mul_pair 8 in
+    let pure_m, pure_src, pure_tgt = mul_pair 6 in
     let pure_v =
       Engine.verify_funcs ~unroll ~max_conflicts e_pure pure_m ~src:pure_src ~tgt:pure_tgt
     in
@@ -1289,8 +1225,8 @@ let run_portfolio_bench () =
     let speedup = single_secs /. if race_secs <= 0. then epsilon_float else race_secs in
     Fmt.pf fmt "  wall time: %.2fs single -> %.2fs portfolio (%.2fx); flips: %d@." single_secs
       race_secs speedup flips;
-    Fmt.pf fmt "  pure race (cube_k 0, mul-comm-i8): %s in %.2fs@." (cat_name pure_v.Alive.category)
-      pure_secs;
+    Fmt.pf fmt "  pure race (cube_k 0, mul-assoc-i6): %s in %.2fs@."
+      (cat_name pure_v.Alive.category) pure_secs;
     Fmt.pf fmt
       "  %d races (%d full-member wins, %d cube splits, %d cube cex, %d cube refutations, %d \
        join refutations)@."
@@ -1328,7 +1264,7 @@ let run_portfolio_bench () =
   "max_conflicts": %d,
   "single": %s,
   "portfolio_leg": %s,
-  "pure_race": { "pair": "mul-comm-i8", "verdict": "%s", "seconds": %.4f },
+  "pure_race": { "pair": "mul-assoc-i6", "verdict": "%s", "seconds": %.4f },
   "speedup": %.3f,
   "conclusive_flips": %d,
   "races": %d,
@@ -1366,7 +1302,7 @@ let run_portfolio_bench () =
       Fmt.pf fmt "  WARNING: losers outlived a winner %.2fx past its finish (1.5x target)@."
         p.Portfolio.reap_ratio_max;
     if conclusive pure_v.Alive.category && pure_v.Alive.category <> Alive.Equivalent then begin
-      Fmt.pf fmt "  ERROR: the pure race flipped mul-comm-i8 to %s@."
+      Fmt.pf fmt "  ERROR: the pure race flipped mul-assoc-i6 to %s@."
         (cat_name pure_v.Alive.category);
       exit 1
     end;

@@ -365,11 +365,17 @@ let seed_pair cfg i : (string * Mutate.pair) option =
       let tgt, _trace = Pass_manager.instcombine m src in
       Some ((if i mod 4 = 0 then "cgen-adv" else "cgen"), { Mutate.a_m = m; a_src = src; a_tgt = tgt })
     with _ -> None)
-  | _ ->
+  | 2 ->
     let q = Workload.make ~seed:cfg.mc_seed ~index:i in
     Some
       ( "workload:" ^ q.Workload.w_label,
         { Mutate.a_m = q.Workload.w_m; a_src = q.Workload.w_src; a_tgt = q.Workload.w_tgt } )
+  | _ ->
+    (* the solver-bound shape: Expr's normal form decides the workload's
+       commuted-mul pairs without search, so they no longer seed pain *)
+    let w = 6 + (Hashtbl.hash (cfg.mc_seed, i, "veriopt-adv-assoc") mod 4) in
+    let m, src, tgt = Workload.assoc_pair w in
+    Some ("assoc", { Mutate.a_m = m; a_src = src; a_tgt = tgt })
 
 (* ------------------------------------------------------------------ *)
 (* The mine loop *)

@@ -52,7 +52,8 @@ val oracle_class : samples:int -> Mutate.pair -> oclass
 val seed_pair : config -> int -> (string * Mutate.pair) option
 (** The [i]-th seed of the pool: Cgen (adversarial profile on even
     residues, default on odd) lowered and instcombined, interleaved with
-    serve-workload pairs.  Exposed for tests. *)
+    serve-workload pairs and the solver-bound {!Veriopt_serve.Workload.assoc_pair}
+    at widths 6–9.  Exposed for tests. *)
 
 val mine : ?engine:Veriopt_alive.Engine.t -> ?cfg:config -> Corpus.t -> result
 (** Run one budgeted mine loop, committing into the corpus.  Without

@@ -102,6 +102,9 @@ let semantics_digest_lazy =
          ("refine", Refine.semantics_version);
          ("alive", Alive.semantics_version);
          ("sat", Sat.semantics_version);
+         (* the word-level normal form decides which circuit a query
+            blasts to, so it moves what a budget-limited check decides *)
+         ("expr", Veriopt_smt.Expr.semantics_version);
          (* the key-level canonical form: store keys collide canon twins,
             so a canonicalizer change must invalidate old entries *)
          ("canon", Canon.semantics_version);

@@ -214,8 +214,9 @@ val store_stats : t -> Veriopt_store.Store.stats option
 
 val semantics_digest : unit -> string
 (** The engine-semantics version hash every store record carries: a digest
-    of the registered [semantics_version]s of Encode, Refine, Alive, Sat
-    and Canon — the key-level canonical form is part of the key semantics
+    of the registered [semantics_version]s of Encode, Refine, Alive, Sat,
+    Expr (the word-level normal form) and Canon — the key-level canonical
+    form is part of the key semantics
     (plus the runtime lineage).  Bumping any of them invalidates all prior
     store entries. *)
 

@@ -159,8 +159,11 @@ let check ?(max_conflicts = 200_000) ?deadline ?reduce ?sat (src : summary) (tgt
    inconclusive, its VSIDS order names the split variables and each cube is
    solved by [check_cube] in a separate process.  Raw SAT literals travel
    between planner and workers, which is sound because both sides blast the
-   {e same} deterministic [query src tgt] assertion list in a fresh context
-   — variable numbering is structural, independent of solver config. *)
+   {e same} [query src tgt] assertion list in a fresh context, and variable
+   numbering depends only on that list's structure: not on solver config,
+   and not on what either process interned before — every commutative
+   constructor orders its operands by the structural {!Expr.compare}, never
+   by allocation id. *)
 
 let probe ?(max_conflicts = 500) ?deadline ?reduce ?sat (src : summary) (tgt : summary) :
     Solver.probe * outcome =

@@ -42,6 +42,38 @@ let mulc_text w op k =
 
 let mulc_pair w k = parse_pair (mulc_text w "%x, %y" k) (mulc_text w "%y, %x" k)
 
+(* The solver-bound pair: three-variable mul reassociation.  [assoc_body]
+   computes [%m = a*b*c], grouped to the left in the source and to the
+   right in the target. *)
+let assoc_body ~src w (a, b, c) =
+  if src then Fmt.str "  %%t = mul i%d %%%s, %%%s\n  %%m = mul i%d %%t, %%%s\n" w a b w c
+  else Fmt.str "  %%t = mul i%d %%%s, %%%s\n  %%m = mul i%d %%%s, %%t\n" w b c w a
+
+let assoc_pair ?(delta = 0) w =
+  let text ~src =
+    let ret =
+      if src || delta = 0 then Fmt.str "  ret i%d %%m\n" w
+      else Fmt.str "  %%r = add i%d %%m, %d\n  ret i%d %%r\n" w delta w
+    in
+    Fmt.str "define i%d @f(i%d %%x, i%d %%y, i%d %%z) {\nentry:\n%s%s}" w w w w
+      (assoc_body ~src w ("x", "y", "z"))
+      ret
+  in
+  parse_pair (text ~src:true) (text ~src:false)
+
+let assoc_chain_pair ?(src_k = 3) ?(tgt_k = 3) w =
+  let text ~src k =
+    Fmt.str
+      "define i%d @f(i%d %%x, i%d %%y, i%d %%v, i%d %%z) {\nentry:\n  br label %%h\nh:\n  \
+       %%i = phi i%d [ 0, %%entry ], [ %%i2, %%b ]\n  %%s = phi i%d [ %%x, %%entry ], [ %%s2, \
+       %%b ]\n  %%c = icmp eq i%d %%i, %%z\n  br i1 %%c, label %%x, label %%b\nb:\n%s  %%s2 = \
+       add i%d %%m, %d\n  %%i2 = add i%d %%i, 1\n  br label %%h\nx:\n  ret i%d %%s\n}"
+      w w w w w w w w
+      (assoc_body ~src w ("s", "y", "v"))
+      w k w w
+  in
+  parse_pair (text ~src:true src_k) (text ~src:false tgt_k)
+
 let easy_text k op =
   Fmt.str "define i32 @f(i32 %%x) {\nentry:\n  %%r = %s i32 %%x, %d\n  ret i32 %%r\n}" op k
 

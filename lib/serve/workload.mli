@@ -22,6 +22,29 @@ val make : seed:int -> index:int -> query
     ~20% widened mul-commutativity pairs, the rest easy equivalents, wrong
     pairs and count loops — each salted by [index] so repeats are rare. *)
 
+val assoc_pair :
+  ?delta:int -> int -> Veriopt_ir.Ast.modul * Veriopt_ir.Ast.func * Veriopt_ir.Ast.func
+(** [assoc_pair w] is the solver-bound pair the test suites and benches use
+    wherever they need a query that only search can decide: three-variable
+    mul reassociation, [(x*y)*z] against [x*(y*z)] at width [w].  It is
+    valid at every width, and the word-level normal form of
+    {!Veriopt_smt.Expr} deliberately leaves non-constant reassociation to
+    the SAT core.  Measured with the default solver: about 5.6k conflicts
+    at i5, 42k at i6 and 180k at i7, close to the default 200k-conflict
+    budget, so at wider widths any budget or deadline bites.  A
+    nonzero [delta] is added to the target's result: a wrong twin with a
+    counterexample. *)
+
+val assoc_chain_pair :
+  ?src_k:int ->
+  ?tgt_k:int ->
+  int ->
+  Veriopt_ir.Ast.modul * Veriopt_ir.Ast.func * Veriopt_ir.Ast.func
+(** The same reassociation inside a data-dependent-exit loop: [%z]
+    iterations of [s <- s*y*v + k] ([k] = [src_k] / [tgt_k], default 3),
+    so every unrolled frame re-poses it.  About 4k conflicts at i4 and
+    25k at i5 with the default unroll bound. *)
+
 val alpha_variant : query -> query
 (** The same query with alpha-renamed (renumbered) functions: textually
     different, alpha-equivalent — food for in-queue coalescing. *)

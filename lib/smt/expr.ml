@@ -1,9 +1,12 @@
 (** Hash-consed SMT terms over booleans and fixed-width bitvectors (1..64).
 
     Smart constructors perform light constant folding and local
-    simplification so the circuits handed to the bit-blaster stay small.
-    Hash-consing gives each structurally distinct term a unique id, which the
-    bit-blaster uses for memoization. *)
+    simplification so the circuits handed to the bit-blaster stay small,
+    and they keep terms in a word-level normal form: commutative operands
+    are ordered by a history-independent structural key (constants to the
+    right) and constant chains are reassociated, so [x+2+10] and [12+x]
+    are one node.  Hash-consing gives each structurally distinct term a
+    unique id, which the bit-blaster uses for memoization. *)
 
 type sort = Bool | BV of int
 
@@ -22,7 +25,9 @@ type bv_binop =
   | Or
   | Xor
 
-type t = { id : int; node : node; sort : sort }
+type t = { id : int; hash : int; node : node; sort : sort }
+(* [hash] is structural (a function of the node and the children's hashes,
+   never of ids): it is the order key of every commutative constructor. *)
 
 and node =
   | True
@@ -70,28 +75,55 @@ module Key = struct
     | KBvSext of int * int
     | KBvTrunc of int * int
 
-  let of_node = function
+  (* [f] projects each child to an int: its id for the intern key, its
+     structural hash for [hash], a constant for the children-erased shape *)
+  let make f = function
     | True -> KTrue
     | False -> KFalse
     | BoolVar s -> KBoolVar s
-    | Not a -> KNot a.id
-    | BAnd (a, b) -> KBAnd (a.id, b.id)
-    | BOr (a, b) -> KBOr (a.id, b.id)
-    | BXor (a, b) -> KBXor (a.id, b.id)
-    | BIte (c, a, b) -> KBIte (c.id, a.id, b.id)
-    | Eq (a, b) -> KEq (a.id, b.id)
-    | Ult (a, b) -> KUlt (a.id, b.id)
-    | Slt (a, b) -> KSlt (a.id, b.id)
+    | Not a -> KNot (f a)
+    | BAnd (a, b) -> KBAnd (f a, f b)
+    | BOr (a, b) -> KBOr (f a, f b)
+    | BXor (a, b) -> KBXor (f a, f b)
+    | BIte (c, a, b) -> KBIte (f c, f a, f b)
+    | Eq (a, b) -> KEq (f a, f b)
+    | Ult (a, b) -> KUlt (f a, f b)
+    | Slt (a, b) -> KSlt (f a, f b)
     | BvConst { width; value } -> KBvConst (width, value)
     | BvVar { name; width } -> KBvVar (name, width)
-    | BvBin (op, a, b) -> KBvBin (op, a.id, b.id)
-    | BvNot a -> KBvNot a.id
-    | BvNeg a -> KBvNeg a.id
-    | BvIte (c, a, b) -> KBvIte (c.id, a.id, b.id)
-    | BvZext (w, a) -> KBvZext (w, a.id)
-    | BvSext (w, a) -> KBvSext (w, a.id)
-    | BvTrunc (w, a) -> KBvTrunc (w, a.id)
+    | BvBin (op, a, b) -> KBvBin (op, f a, f b)
+    | BvNot a -> KBvNot (f a)
+    | BvNeg a -> KBvNeg (f a)
+    | BvIte (c, a, b) -> KBvIte (f c, f a, f b)
+    | BvZext (w, a) -> KBvZext (w, f a)
+    | BvSext (w, a) -> KBvSext (w, f a)
+    | BvTrunc (w, a) -> KBvTrunc (w, f a)
+
+  let of_node = make (fun t -> t.id)
+  let shape = make (fun _ -> 0)
 end
+
+let children = function
+  | True | False | BoolVar _ | BvConst _ | BvVar _ -> []
+  | Not a | BvNot a | BvNeg a | BvZext (_, a) | BvSext (_, a) | BvTrunc (_, a) -> [ a ]
+  | BAnd (a, b) | BOr (a, b) | BXor (a, b) | Eq (a, b) | Ult (a, b) | Slt (a, b)
+  | BvBin (_, a, b) ->
+    [ a; b ]
+  | BIte (c, a, b) | BvIte (c, a, b) -> [ c; a; b ]
+
+(* The order key: structural hash first, ties broken by the children-erased
+   shape and then the children, recursively — never by id, which is
+   allocation order and so depends on what the domain interned earlier.
+   [compare a b = 0] iff [a] and [b] are structurally equal. *)
+let rec compare a b =
+  if a == b then 0
+  else
+    match Int.compare a.hash b.hash with
+    | 0 -> (
+      match Stdlib.compare (Key.shape a.node) (Key.shape b.node) with
+      | 0 -> List.compare compare (children a.node) (children b.node)
+      | c -> c)
+    | c -> c
 
 (* Hash-consing must stay correct when verification runs on several domains
    (the Par pool): the intern table is domain-local, so interning is
@@ -110,7 +142,8 @@ let intern sort node =
   match Hashtbl.find_opt table key with
   | Some t -> t
   | None ->
-    let t = { id = Atomic.fetch_and_add next_id 1; node; sort } in
+    let hash = Hashtbl.hash (Key.make (fun t -> t.hash) node) in
+    let t = { id = Atomic.fetch_and_add next_id 1; hash; node; sort } in
     Hashtbl.add table key t;
     t
 
@@ -139,7 +172,7 @@ let and_ a b =
   | _ when a.id = b.id -> a
   | Not x, _ when x.id = b.id -> ff
   | _, Not x when x.id = a.id -> ff
-  | _ -> if a.id <= b.id then intern Bool (BAnd (a, b)) else intern Bool (BAnd (b, a))
+  | _ -> if compare a b <= 0 then intern Bool (BAnd (a, b)) else intern Bool (BAnd (b, a))
 
 let or_ a b =
   match (a.node, b.node) with
@@ -149,7 +182,7 @@ let or_ a b =
   | _ when a.id = b.id -> a
   | Not x, _ when x.id = b.id -> tt
   | _, Not x when x.id = a.id -> tt
-  | _ -> if a.id <= b.id then intern Bool (BOr (a, b)) else intern Bool (BOr (b, a))
+  | _ -> if compare a b <= 0 then intern Bool (BOr (a, b)) else intern Bool (BOr (b, a))
 
 let xor_ a b =
   match (a.node, b.node) with
@@ -158,7 +191,7 @@ let xor_ a b =
   | False, _ -> b
   | _, False -> a
   | _ when a.id = b.id -> ff
-  | _ -> if a.id <= b.id then intern Bool (BXor (a, b)) else intern Bool (BXor (b, a))
+  | _ -> if compare a b <= 0 then intern Bool (BXor (a, b)) else intern Bool (BXor (b, a))
 
 let implies a b = or_ (not_ a) b
 
@@ -183,58 +216,52 @@ let const_value t = match t.node with BvConst { value; _ } -> Some value | _ -> 
 
 let is_const_of t v = match t.node with BvConst { value; _ } -> value = v | _ -> false
 
-let bin op a b =
+let is_const t = match t.node with BvConst _ -> true | _ -> false
+
+(* SMT-LIB semantics on constants, including the guarded-out cases *)
+let fold op w x y =
+  let open Veriopt_ir.Bits in
+  match op with
+  | Add -> add w x y
+  | Sub -> sub w x y
+  | Mul -> mul w x y
+  | UDiv -> if y = 0L then all_ones w else udiv w x y
+  | URem -> if y = 0L then x else urem w x y
+  | SDiv ->
+    if y = 0L then if slt w x 0L then 1L else all_ones w
+    else if x = min_signed w && y = all_ones w then min_signed w
+    else sdiv w x y
+  | SRem -> if y = 0L then x else if x = min_signed w && y = all_ones w then 0L else srem w x y
+  | Shl -> if shift_amount_poison w y then 0L else shl w x y
+  | LShr -> if shift_amount_poison w y then 0L else lshr w x y
+  | AShr -> if shift_amount_poison w y then if slt w x 0L then all_ones w else 0L else ashr w x y
+  | And -> logand w x y
+  | Or -> logor w x y
+  | Xor -> logxor w x y
+
+let commutative = function Add | Mul | And | Or | Xor -> true | _ -> false
+
+(* Normal form: commutative operands in [compare] order with a constant on
+   the right, and [(x op c1) op c2] reassociated to [x op (c1 op c2)].
+   Non-constant operands are never reassociated. *)
+let rec bin op a b =
   let w = width a in
   assert (width b = w);
-  let open Veriopt_ir.Bits in
   match (const_value a, const_value b) with
-  | Some x, Some y -> (
-    match op with
-    | Add -> bv_const w (add w x y)
-    | Sub -> bv_const w (sub w x y)
-    | Mul -> bv_const w (mul w x y)
-    | UDiv -> bv_const w (if y = 0L then all_ones w else udiv w x y)
-    | URem -> bv_const w (if y = 0L then x else urem w x y)
-    | SDiv ->
-      (* SMT-LIB semantics for the guarded-out cases *)
-      bv_const w
-        (if y = 0L then if slt w x 0L then 1L else all_ones w
-         else if x = min_signed w && y = all_ones w then min_signed w
-         else sdiv w x y)
-    | SRem ->
-      bv_const w
-        (if y = 0L then x else if x = min_signed w && y = all_ones w then 0L else srem w x y)
-    | Shl -> bv_const w (if shift_amount_poison w y then 0L else shl w x y)
-    | LShr -> bv_const w (if shift_amount_poison w y then 0L else lshr w x y)
-    | AShr ->
-      bv_const w
-        (if shift_amount_poison w y then if slt w x 0L then all_ones w else 0L else ashr w x y)
-    | And -> bv_const w (logand w x y)
-    | Or -> bv_const w (logor w x y)
-    | Xor -> bv_const w (logxor w x y))
+  | Some x, Some y -> bv_const w (fold op w x y)
+  | _ when commutative op && (is_const a || ((not (is_const b)) && compare a b > 0)) ->
+    bin op b a
   | _ -> (
-    (* light algebraic simplification *)
-    match op with
-    | Add when is_const_of b 0L -> a
-    | Add when is_const_of a 0L -> b
-    | Sub when is_const_of b 0L -> a
-    | Sub when a.id = b.id -> bv_const w 0L
-    | Mul when is_const_of b 1L -> a
-    | Mul when is_const_of a 1L -> b
-    | Mul when is_const_of a 0L || is_const_of b 0L -> bv_const w 0L
-    | And when a.id = b.id -> a
-    | And when is_const_of a 0L || is_const_of b 0L -> bv_const w 0L
-    | And when is_const_of b (Veriopt_ir.Bits.all_ones w) -> a
-    | And when is_const_of a (Veriopt_ir.Bits.all_ones w) -> b
-    | Or when a.id = b.id -> a
-    | Or when is_const_of b 0L -> a
-    | Or when is_const_of a 0L -> b
-    | Xor when a.id = b.id -> bv_const w 0L
-    | Xor when is_const_of b 0L -> a
-    | Xor when is_const_of a 0L -> b
-    | Shl when is_const_of b 0L -> a
-    | LShr when is_const_of b 0L -> a
-    | AShr when is_const_of b 0L -> a
+    match (op, a.node) with
+    | _, BvBin (op', x, c) when op' = op && commutative op && is_const c && is_const b ->
+      bin op x (bin op c b)
+    | (Add | Sub | Or | Xor | Shl | LShr | AShr), _ when is_const_of b 0L -> a
+    | Sub, _ when a == b -> bv_const w 0L
+    | Mul, _ when is_const_of b 1L -> a
+    | (Mul | And), _ when is_const_of b 0L -> b
+    | (And | Or), _ when a == b -> a
+    | And, _ when is_const_of b (Veriopt_ir.Bits.all_ones w) -> a
+    | Xor, _ when a == b -> bv_const w 0L
     | _ -> intern (BV w) (BvBin (op, a, b)))
 
 let bv_not a =
@@ -255,7 +282,7 @@ let eq a b =
   else
     match (const_value a, const_value b) with
     | Some x, Some y -> of_bool (x = y)
-    | _ -> if a.id <= b.id then intern Bool (Eq (a, b)) else intern Bool (Eq (b, a))
+    | _ -> if compare a b <= 0 then intern Bool (Eq (a, b)) else intern Bool (Eq (b, a))
 
 let ult a b =
   match (const_value a, const_value b) with
@@ -353,3 +380,5 @@ let rec pp ppf t =
   | BvTrunc (w, a) -> Fmt.pf ppf "(trunc[%d] %a)" w pp a
 
 let to_string t = Fmt.str "%a" pp t
+
+let semantics_version = 1

@@ -1,6 +1,10 @@
 (** Hash-consed SMT terms over booleans and fixed-width bitvectors (1..64).
 
-    Smart constructors constant-fold and apply local identities; structurally
+    Smart constructors constant-fold, apply local identities and keep a
+    word-level normal form: the operands of commutative operators
+    ([Add], [Mul], [And], [Or], [Xor], [and_], [or_], [xor_], [eq]) are
+    ordered by {!compare}, constants on the right, and constant chains
+    [(x op c1) op c2] are reassociated to [x op (c1 op c2)].  Structurally
     equal terms are physically equal (the bit-blaster memoizes on [id]). *)
 
 type sort = Bool | BV of int
@@ -20,7 +24,9 @@ type bv_binop =
   | Or
   | Xor
 
-type t = private { id : int; node : node; sort : sort }
+type t = private { id : int; hash : int; node : node; sort : sort }
+(** [id] is allocation order; [hash] is structural (it depends only on the
+    term, never on what was interned before it). *)
 
 and node =
   | True
@@ -45,6 +51,15 @@ and node =
   | BvTrunc of int * t
 
 val width : t -> int
+
+val compare : t -> t -> int
+(** The history-independent order key of the normal form: structural hash,
+    ties broken structurally.  [compare a b = 0] iff [a] and [b] are
+    structurally equal, even across domains. *)
+
+val semantics_version : int
+(** Bumped whenever the normal form changes which circuit a query
+    bit-blasts to (and so what a budget-limited check decides). *)
 
 (** {1 Booleans} *)
 

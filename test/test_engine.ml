@@ -181,17 +181,9 @@ let satellite_tests =
           vc.Reward.verdict.A.category);
   ]
 
-(* width-parameterized pairs so consecutive queries never share a cache key *)
-let hostile_pair w =
-  let text op =
-    Printf.sprintf
-      "define i%d @f(i%d %%x, i%d %%y) {\nentry:\n  %%r = mul i%d %s\n  ret i%d %%r\n}" w w w
-      w op w
-  in
-  let m = Parser.parse_module (text "%x, %y") in
-  let src = List.hd m.Ast.funcs in
-  let tgt = List.hd (Parser.parse_module (text "%y, %x")).Ast.funcs in
-  (m, src, tgt)
+(* the solver-bound pair; width-parameterized so consecutive queries never
+   share a cache key *)
+let hostile_pair w = Veriopt_serve.Workload.assoc_pair w
 
 let easy_pair w =
   let m =
@@ -222,21 +214,9 @@ let loop_pair ?(bound = 3) ?(ret = 3) () =
   let m = Parser.parse_module src in
   (m, List.hd m.Ast.funcs, List.hd (Parser.parse_module tgt).Ast.funcs)
 
-(* the hostile mul moved inside a loop exit block: every deepening step
-   re-poses the commutativity query, so no realistic deadline survives it *)
-let hostile_loop_pair w =
-  let text op =
-    Printf.sprintf
-      "define i%d @f(i%d %%x, i%d %%y) {\nentry:\n  br label %%h\nh:\n  %%i = phi i%d [ 0, \
-       %%entry ], [ %%i2, %%b ]\n  %%c = icmp slt i%d %%i, 2\n  br i1 %%c, label %%b, label \
-       %%x\nb:\n  %%i2 = add i%d %%i, 1\n  br label %%h\nx:\n  %%r = mul i%d %s\n  ret i%d \
-       %%r\n}"
-      w w w w w w w op w
-  in
-  let m = Parser.parse_module (text "%x, %y") in
-  let src = List.hd m.Ast.funcs in
-  let tgt = List.hd (Parser.parse_module (text "%y, %x")).Ast.funcs in
-  (m, src, tgt)
+(* the hostile reassociation inside a data-dependent-exit loop: every
+   deepening step re-poses it, so no realistic deadline survives it *)
+let hostile_loop_pair w = Veriopt_serve.Workload.assoc_chain_pair w
 
 let incremental_tests =
   [
@@ -255,7 +235,7 @@ let incremental_tests =
             ("wrong constant", loop_pair ~ret:4 ());
             ("bound exceeds unroll", loop_pair ~bound:100 ~ret:100 ());
             ("loop against itself", (fun (m, src, _) -> (m, src, src)) (loop_pair ()));
-            ("mul commutativity in a loop", hostile_loop_pair 5);
+            ("mul reassociation in a loop", hostile_loop_pair 4);
           ];
         let ds = S.build ~verify:false ~seed0:88111 ~n:10 () in
         List.iter

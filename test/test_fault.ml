@@ -43,16 +43,9 @@ let category =
       | A.Inconclusive -> Fmt.string ppf "Inconclusive")
     ( = )
 
-(* SMT-hostile pair: mul commutativity is trivial algebraically and brutal
-   bit-blasted — the shape the deadline exists for. *)
-let hostile_pair () =
-  let text op =
-    Fmt.str "define i12 @f(i12 %%x, i12 %%y) {\nentry:\n  %%r = mul i12 %s\n  ret i12 %%r\n}" op
-  in
-  let m = Parser.parse_module (text "%x, %y") in
-  let src = List.hd m.Ast.funcs in
-  let tgt = List.hd (Parser.parse_module (text "%y, %x")).Ast.funcs in
-  (m, src, tgt)
+(* SMT-hostile pair: bit-blasted mul reassociation, which only search can
+   decide — the shape the deadline exists for. *)
+let hostile_pair () = Veriopt_serve.Workload.assoc_pair 12
 
 (* ------------------------------------------------------------------ *)
 

@@ -301,15 +301,17 @@ let solver_stats_monotonic_test () =
   Alcotest.(check int) "reductions start at 0" 0 z.Solver.reductions;
   Alcotest.(check int) "db_peak starts at 0" 0 z.Solver.db_peak;
   Alcotest.(check int) "lbd_hist starts empty" 0 (Array.fold_left ( + ) 0 z.Solver.lbd_hist);
-  (* a conflict-heavy query: w-bit mul commutativity is valid, so the
-     mismatch formula is UNSAT and the solver must actually search *)
+  (* a conflict-heavy query: w-bit mul reassociation (the term-level form
+     of Workload.assoc_pair) is valid, so the mismatch formula is UNSAT and
+     the solver must actually search *)
   let query w =
-    let x = Expr.bv_var "mx" w and y = Expr.bv_var "my" w in
-    Expr.not_ (Expr.eq (Expr.bin Expr.Mul x y) (Expr.bin Expr.Mul y x))
+    let x = Expr.bv_var "mx" w and y = Expr.bv_var "my" w and z = Expr.bv_var "mz" w in
+    let mul = Expr.bin Expr.Mul in
+    Expr.not_ (Expr.eq (mul (mul x y) z) (mul x (mul y z)))
   in
-  (match Solver.check [ query 6 ] with
+  (match Solver.check [ query 5 ] with
   | Solver.Unsat -> ()
-  | _ -> Alcotest.fail "mul commutativity must be UNSAT");
+  | _ -> Alcotest.fail "mul reassociation must be UNSAT");
   let a = Solver.stats () in
   Alcotest.(check bool) "conflicts counted" true (a.Solver.conflicts > 0);
   Alcotest.(check bool) "clauses learned" true (a.Solver.learned > 0);
@@ -319,9 +321,9 @@ let solver_stats_monotonic_test () =
   Alcotest.(check int) "histogram sums to learned"
     a.Solver.learned
     (Array.fold_left ( + ) 0 a.Solver.lbd_hist);
-  (match Solver.check [ query 5 ] with
+  (match Solver.check [ query 4 ] with
   | Solver.Unsat -> ()
-  | _ -> Alcotest.fail "mul commutativity must be UNSAT");
+  | _ -> Alcotest.fail "mul reassociation must be UNSAT");
   let b = Solver.stats () in
   Alcotest.(check bool) "checks monotone" true (b.Solver.checks > a.Solver.checks);
   Alcotest.(check bool) "conflicts monotone" true (b.Solver.conflicts >= a.Solver.conflicts);
@@ -335,9 +337,9 @@ let solver_stats_monotonic_test () =
     b.Solver.learned
     (Array.fold_left ( + ) 0 b.Solver.lbd_hist);
   (* a reduce:false check must not advance the reduction counters *)
-  (match Solver.check ~reduce:false [ query 5 ] with
+  (match Solver.check ~reduce:false [ query 4 ] with
   | Solver.Unsat -> ()
-  | _ -> Alcotest.fail "mul commutativity must be UNSAT");
+  | _ -> Alcotest.fail "mul reassociation must be UNSAT");
   let c = Solver.stats () in
   Alcotest.(check int) "reduce:false adds no reductions" b.Solver.reductions c.Solver.reductions;
   Alcotest.(check int) "reduce:false deletes nothing" b.Solver.deleted c.Solver.deleted;

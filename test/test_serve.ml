@@ -20,11 +20,7 @@ let parse_pair src_text tgt_text =
   (m, List.hd m.Ast.funcs, List.hd (Parser.parse_module tgt_text).Ast.funcs)
 
 (* SMT-hostile blocker: holds a dispatcher busy until its deadline. *)
-let hostile_pair () =
-  let text op =
-    Fmt.str "define i11 @f(i11 %%x, i11 %%y) {\nentry:\n  %%r = mul i11 %s\n  ret i11 %%r\n}" op
-  in
-  parse_pair (text "%x, %y") (text "%y, %x")
+let hostile_pair () = Workload.assoc_pair 11
 
 let easy_text k =
   Fmt.str "define i32 @f(i32 %%x) {\nentry:\n  %%r = add i32 %%x, %d\n  ret i32 %%r\n}" k

@@ -370,6 +370,225 @@ let poison_paths_fuzz =
          | Solver.Unsat -> true
          | Solver.Sat _ | Solver.Unknown -> false))
 
+(* ------------------------------------------------------------------ *)
+(* The word-level normal form.  The round-trip fuzz above evaluates the
+   already-normalised term, so it cannot see an unsound rewrite; this one
+   evaluates the raw operator tree with a reference evaluator of its own
+   and compares it with [Solver.eval_bv] on the term the smart
+   constructors built from that tree. *)
+
+type raw =
+  | RConst of int64
+  | RVar of int
+  | RBin of Expr.bv_binop * raw * raw
+  | RNot of raw
+  | RNeg of raw
+
+let rec build w = function
+  | RConst c -> Expr.bv_const w c
+  | RVar i -> Expr.bv_var (Fmt.str "x%d" i) w
+  | RBin (op, a, b) -> Expr.bin op (build w a) (build w b)
+  | RNot a -> Expr.bv_not (build w a)
+  | RNeg a -> Expr.bv_neg (build w a)
+
+(* SMT-LIB semantics on masked values, written out independently of
+   Expr's constant folder *)
+let rec ref_eval w env = function
+  | RConst c -> Bits.mask w c
+  | RVar i -> Bits.mask w env.(i)
+  | RNot a -> Bits.lognot w (ref_eval w env a)
+  | RNeg a -> Bits.neg w (ref_eval w env a)
+  | RBin (op, a, b) -> (
+    let x = ref_eval w env a and y = ref_eval w env b in
+    let shift f default =
+      if Int64.unsigned_compare y (Int64.of_int w) >= 0 then default else f w x y
+    in
+    let neg_x = Bits.slt w x 0L in
+    match op with
+    | Expr.Add -> Bits.add w x y
+    | Expr.Sub -> Bits.sub w x y
+    | Expr.Mul -> Bits.mul w x y
+    | Expr.And -> Bits.logand w x y
+    | Expr.Or -> Bits.logor w x y
+    | Expr.Xor -> Bits.logxor w x y
+    | Expr.UDiv -> if y = 0L then Bits.all_ones w else Bits.udiv w x y
+    | Expr.URem -> if y = 0L then x else Bits.urem w x y
+    | Expr.SDiv ->
+      if y = 0L then if neg_x then 1L else Bits.all_ones w
+      else if x = Bits.min_signed w && y = Bits.all_ones w then x
+      else Bits.sdiv w x y
+    | Expr.SRem ->
+      if y = 0L then x
+      else if x = Bits.min_signed w && y = Bits.all_ones w then 0L
+      else Bits.srem w x y
+    | Expr.Shl -> shift Bits.shl 0L
+    | Expr.LShr -> shift Bits.lshr 0L
+    | Expr.AShr -> shift Bits.ashr (if neg_x then Bits.all_ones w else 0L))
+
+(* biased toward the five reassociated operators and toward constants, so
+   constant chains, commuted twins and identities actually occur *)
+let gen_raw =
+  QCheck2.Gen.(
+    let* w = frequency [ (8, int_range 1 8); (1, oneofl [ 16; 32; 64 ]) ] in
+    let* env = array_size (return 3) (map Int64.of_int int) in
+    let const =
+      frequency
+        [
+          (3, map Int64.of_int (int_range (-3) 16));
+          (1, return (Bits.all_ones w));
+          (1, map Int64.of_int int);
+        ]
+    in
+    let rec raw depth =
+      if depth = 0 then
+        frequency [ (2, map (fun c -> RConst c) const); (3, map (fun i -> RVar i) (int_bound 2)) ]
+      else
+        frequency
+          [
+            (1, raw 0);
+            (1, map (fun a -> RNot a) (raw (depth - 1)));
+            (1, map (fun a -> RNeg a) (raw (depth - 1)));
+            ( 8,
+              let* op =
+                frequency
+                  [ (3, oneofl Expr.[ Add; Mul; And; Or; Xor ]); (1, oneofl all_ops) ]
+              in
+              let* a = raw (depth - 1) in
+              let* b = raw (depth - 1) in
+              return (RBin (op, a, b)) );
+          ]
+    in
+    let* depth = int_range 1 4 in
+    let* a = raw depth in
+    let* b = raw depth in
+    return (w, env, a, b))
+
+let normal_form_fuzz =
+  let n = 2 * bv_fuzz_n in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:n
+       ~name:(Fmt.str "normal form vs reference evaluator, %d cases (VERIOPT_FUZZ_N)" n)
+       gen_raw
+       (fun (w, env, a, b) ->
+         let ta = build w a and tb = build w b in
+         let va = ref_eval w env a and vb = ref_eval w env b in
+         Solver.eval_bv (env_fn env) (fun _ -> false) ta = va
+         && Solver.eval_bv (env_fn env) (fun _ -> false) tb = vb
+         && Solver.eval_bool (env_fn env) (fun _ -> false) (Expr.eq ta tb) = (va = vb)))
+
+let parse_pair src tgt =
+  let m = Veriopt_ir.Parser.parse_module src in
+  let f text = List.hd (Veriopt_ir.Parser.parse_module text).Veriopt_ir.Ast.funcs in
+  (m, f src, f tgt)
+
+(* The verification-relevant slice of a train-workload pair: an -O0
+   source computing (t7 +nsw 2) +nsw 10 next to a 32-bit sdiv, against a
+   candidate computing t7 + 12.  Without constant reassociation the two
+   sides are different circuits and CDCL needs some 13k conflicts. *)
+let f25_text add =
+  Fmt.str
+    "declare void @sink(i32)\n\
+     define i8 @f25(i32 %%p0, i16 %%p1) {\n\
+     entry:\n\
+    \  %%p0.addr.1 = alloca i32, align 4\n\
+    \  store i32 %%p0, ptr %%p0.addr.1, align 4\n\
+    \  %%t3 = load i32, ptr %%p0.addr.1, align 4\n\
+    \  %%t4 = sdiv i32 %%t3, 2\n\
+    \  %%t5 = load i32, ptr %%p0.addr.1, align 4\n\
+    \  %%t6 = shl i32 %%t5, 3\n\
+    \  %%t7 = ashr i32 %%t6, 3\n\
+     %s\
+    \  %%t10 = sub nsw i32 %%t4, %%t9\n\
+    \  call void @sink(i32 %%t10)\n\
+    \  ret i8 1\n\
+     }\n"
+    add
+
+let verify_counting_conflicts ?max_conflicts (m, src, tgt) =
+  Solver.reset_stats ();
+  let v = Veriopt_alive.Alive.verify_funcs ?max_conflicts m ~src ~tgt in
+  (v.Veriopt_alive.Alive.category, (Solver.stats ()).Solver.conflicts)
+
+let normal_form_tests =
+  [
+    Alcotest.test_case "commuted and constant-reassociated twins are one node" `Quick
+      (fun () ->
+        let x = Expr.bv_var "nx" 16 and y = Expr.bv_var "ny" 16 in
+        let c v = Expr.bv_const 16 v in
+        List.iter
+          (fun op ->
+            Alcotest.(check bool) "a op b == b op a" true (Expr.bin op x y == Expr.bin op y x);
+            Alcotest.(check bool)
+              "(x op c1) op c2 == x op (c1 op c2)" true
+              (Expr.bin op (Expr.bin op x (c 2L)) (c 10L)
+              == Expr.bin op x (Expr.bin op (c 2L) (c 10L)));
+            Alcotest.(check bool)
+              "c op x == x op c" true
+              (Expr.bin op (c 7L) x == Expr.bin op x (c 7L)))
+          Expr.[ Add; Mul; And; Or; Xor ];
+        Alcotest.(check bool) "x+2+10 == 12+x" true
+          (Expr.bin Expr.Add (Expr.bin Expr.Add x (c 2L)) (c 10L) == Expr.bin Expr.Add (c 12L) x);
+        Alcotest.(check bool) "a chain that cancels folds away" true
+          (Expr.bin Expr.Add (Expr.bin Expr.Add x (c 5L)) (c (-5L)) == x);
+        Alcotest.(check bool) "eq of commuted twins is tt" true
+          (Expr.eq (Expr.bin Expr.Mul x y) (Expr.bin Expr.Mul y x) == Expr.tt);
+        (* non-commutative operators keep their order, and non-constant
+           operands are never reassociated *)
+        Alcotest.(check bool) "x-y stays apart from y-x" false
+          (Expr.bin Expr.Sub x y == Expr.bin Expr.Sub y x);
+        let z = Expr.bv_var "nz" 16 in
+        Alcotest.(check bool) "(x*y)*z stays apart from x*(y*z)" false
+          (Expr.bin Expr.Mul (Expr.bin Expr.Mul x y) z
+          == Expr.bin Expr.Mul x (Expr.bin Expr.Mul y z)));
+    Alcotest.test_case "bit-blast numbering is history-independent" `Quick (fun () ->
+        (* the same query blasted in two fresh domains, one of which first
+           interned an unrelated term over y: every variable must land on
+           the same SAT variables (the cube protocol ships raw literals
+           between processes) *)
+        let blast ~warm =
+          Domain.join
+            (Domain.spawn (fun () ->
+                 let w = 7 in
+                 if warm then ignore (Expr.bin Expr.Xor (Expr.bv_var "y" w) (Expr.bv_const w 5L));
+                 let x = Expr.bv_var "x" w and y = Expr.bv_var "y" w in
+                 let q =
+                   Expr.and_
+                     (Expr.not_ (Expr.eq x y))
+                     (Expr.ult (Expr.bin Expr.Add x y) (Expr.bv_const w 100L))
+                 in
+                 let ctx = Veriopt_smt.Bitblast.create () in
+                 Veriopt_smt.Bitblast.assert_term ctx q;
+                 let bits name =
+                   Array.to_list (Hashtbl.find ctx.Veriopt_smt.Bitblast.bv_vars name)
+                 in
+                 (bits "x", bits "y")))
+        in
+        let x0, y0 = blast ~warm:false and x1, y1 = blast ~warm:true in
+        Alcotest.(check (list int)) "x's literals" x0 x1;
+        Alcotest.(check (list int)) "y's literals" y0 y1);
+    Alcotest.test_case "the f25 train pair decides without search" `Quick (fun () ->
+        let pair =
+          parse_pair
+            (f25_text "  %t8 = add nsw i32 %t7, 2\n  %t9 = add nsw i32 %t8, 10\n")
+            (f25_text "  %t9 = add i32 %t7, 12\n")
+        in
+        let cat, conflicts = verify_counting_conflicts pair in
+        Alcotest.(check bool) "equivalent" true (cat = Veriopt_alive.Alive.Equivalent);
+        Alcotest.(check bool) (Fmt.str "%d conflicts < 500" conflicts) true (conflicts < 500));
+    Alcotest.test_case "a serve mul-comm pair decides within its budget" `Quick (fun () ->
+        let module W = Veriopt_serve.Workload in
+        let rec find i =
+          let q = W.make ~seed:1 ~index:i in
+          if q.W.w_label = "mul-comm" then q else find (i + 1)
+        in
+        let q = find 0 in
+        let cat, _ =
+          verify_counting_conflicts ?max_conflicts:q.W.w_max_conflicts
+            (q.W.w_m, q.W.w_src, q.W.w_tgt)
+        in
+        Alcotest.(check bool) "equivalent" true (cat = Veriopt_alive.Alive.Equivalent));
+  ]
+
 let expr_tests =
   [
     Alcotest.test_case "constant folding in smart constructors" `Quick (fun () ->
@@ -421,4 +640,6 @@ let suite =
         model_soundness_property;
         bitblast_roundtrip_fuzz;
         poison_paths_fuzz;
-      ] )
+        normal_form_fuzz;
+      ]
+    @ normal_form_tests )

@@ -468,10 +468,12 @@ let fuzz_tests =
         Alcotest.(check string) "digest is deterministic" (Engine.semantics_digest ())
           (Engine.semantics_digest ());
         Alcotest.(check int) "fixed width" 16 (String.length (Engine.semantics_digest ()));
-        let d1 = Store.version_digest [ ("encode", 1); ("sat", 1) ] in
-        let d2 = Store.version_digest [ ("encode", 2); ("sat", 1) ] in
-        let d3 = Store.version_digest [ ("sat", 1); ("encode", 1) ] in
+        let d1 = Store.version_digest [ ("encode", 1); ("sat", 1); ("expr", 1) ] in
+        let d2 = Store.version_digest [ ("encode", 2); ("sat", 1); ("expr", 1) ] in
+        let d3 = Store.version_digest [ ("sat", 1); ("encode", 1); ("expr", 1) ] in
+        let d4 = Store.version_digest [ ("encode", 1); ("sat", 1); ("expr", 2) ] in
         Alcotest.(check bool) "version bump changes it" true (d1 <> d2);
+        Alcotest.(check bool) "normal-form bump changes it" true (d1 <> d4);
         Alcotest.(check bool) "component order matters" true (d1 <> d3));
   ]
 

@@ -39,16 +39,9 @@ let with_faults spec f =
   Fault.reset_stats ();
   Fun.protect ~finally:Fault.disable f
 
-(* SMT-hostile pair: mul commutativity, trivial algebraically and brutal
-   bit-blasted — only a hard deadline bounds it. *)
-let hostile_pair () =
-  let text op =
-    Fmt.str "define i12 @f(i12 %%x, i12 %%y) {\nentry:\n  %%r = mul i12 %s\n  ret i12 %%r\n}" op
-  in
-  let m = Parser.parse_module (text "%x, %y") in
-  let src = List.hd m.Ast.funcs in
-  let tgt = List.hd (Parser.parse_module (text "%y, %x")).Ast.funcs in
-  (m, src, tgt)
+(* SMT-hostile pair: bit-blasted mul reassociation, which only search can
+   decide — the shape the deadline exists for. *)
+let hostile_pair () = Veriopt_serve.Workload.assoc_pair 12
 
 let easy_pair () =
   let m =
@@ -528,20 +521,13 @@ let engine_tests =
                   let raced = Engine.verify_funcs e lm ~src:lsrc ~tgt:ltgt in
                   Alcotest.check category name fresh.A.category raced.A.category)
                 [ ("terminating loop", loop_pair ()); ("wrong constant", loop_pair ~ret:4 ()) ];
-              (* a probe-resistant pair forces an actual cube split: i8 mul
-                 commutativity blows the 500-conflict probe but the cube
+              (* a probe-resistant pair forces an actual cube split: i5 mul
+                 reassociation blows the 500-conflict probe but the cube
                  legs close it.  Whatever wins, the verdict must never flip
                  to a refutation *)
-              let text op =
-                Fmt.str
-                  "define i8 @f(i8 %%x, i8 %%y) {\nentry:\n  %%r = mul i8 %s\n  ret i8 %%r\n}"
-                  op
-              in
-              let hm = Parser.parse_module (text "%x, %y") in
-              let hsrc = List.hd hm.Ast.funcs in
-              let htgt = List.hd (Parser.parse_module (text "%y, %x")).Ast.funcs in
+              let hm, hsrc, htgt = Veriopt_serve.Workload.assoc_pair 5 in
               let v = Engine.verify_funcs ~max_conflicts:400_000 e hm ~src:hsrc ~tgt:htgt in
-              Alcotest.check category "i8 mul commutes" A.Equivalent v.A.category;
+              Alcotest.check category "i5 mul reassociates" A.Equivalent v.A.category;
               let p = Portfolio.stats () in
               Alcotest.(check bool) "races ran" true (p.Portfolio.races >= 1);
               Alcotest.(check bool) "the hostile pair split into cubes" true
