@@ -413,12 +413,13 @@ let show_value = function
 (* Build the Semantic_error verdict for a distinguishing input the oracle
    found.  Both sides are re-run once on that input to classify the mismatch
    (value / trace / memory / target UB) so the diagnostic reads exactly like
-   a solver counterexample. *)
-let tier1_verdict (m : Ast.modul) (src : Ast.func) (tgt : Ast.func) ~bounded
+   a solver counterexample.  The re-runs get the oracle's own [fuel]: a
+   smaller budget would lose a long-running pair the oracle did tell apart. *)
+let tier1_verdict (m : Ast.modul) (src : Ast.func) (tgt : Ast.func) ~fuel ~bounded
     (args : Interp.value list) : Alive.verdict =
   let inputs = List.mapi (fun i v -> (Fmt.str "arg%d" i, value_int64 v)) args in
   let run f =
-    match Interp.run ~fuel:200_000 m f args with
+    match Interp.run ~fuel m f args with
     | o -> `Ok o
     | exception Interp.Undefined_behavior _ -> `Ub
     | exception Interp.Out_of_fuel -> `Fuel
@@ -777,7 +778,7 @@ let verify_funcs ?(unroll = 4) ?(max_conflicts = 200_000) ?deadline ?(reduce = t
           | Exec_oracle.Io_different args ->
             Vcache.note_tier1 t.cache ~hit:true ~seconds:dt;
             tier := 1;
-            tier1_verdict m src tgt ~bounded:(Lazy.force bounded) args
+            tier1_verdict m src tgt ~fuel:t.tier1_fuel ~bounded:(Lazy.force bounded) args
           | Exec_oracle.Io_equivalent _ | Exec_oracle.Io_unsupported _ ->
             Vcache.note_tier1 t.cache ~hit:false ~seconds:dt;
             tier2 ()

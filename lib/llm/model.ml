@@ -78,16 +78,29 @@ let clone ?name ?noise_scale ?halluc_rate (t : t) : t =
 (* ------------------------------------------------------------------ *)
 (* Scoring *)
 
+(* The keys of every rule the policy can be offered, built once when the
+   module initialises: the first rule of each name gives its family, as
+   [Instcombine.find_rule] does, and a name outside the catalog (such as
+   the ["constant-fold"] site) has family ["fold"].  Read-only afterwards,
+   so any domain may share the lists. *)
+let rule_keys name family = [ "rule:" ^ name; "family:" ^ family; "act:rule" ]
+
+let rule_key_table : (string, string list) Hashtbl.t =
+  let tbl = Hashtbl.create 256 in
+  let add name family =
+    if not (Hashtbl.mem tbl name) then Hashtbl.replace tbl name (rule_keys name family)
+  in
+  List.iter
+    (fun (r : Veriopt_passes.Rewrite.rule) -> add r.rule_name r.family)
+    Veriopt_passes.Instcombine.all_rules;
+  add "constant-fold" "fold";
+  tbl
+
 (** Parameter keys contributing to an action's logit. *)
 let keys_of_action (a : Actions.action) : string list =
   match a with
-  | Actions.Apply_rule (r, _) ->
-    let family =
-      match Veriopt_passes.Instcombine.find_rule r with
-      | Some rule -> rule.Veriopt_passes.Rewrite.family
-      | None -> "fold"
-    in
-    [ "rule:" ^ r; "family:" ^ family; "act:rule" ]
+  | Actions.Apply_rule (r, _) -> (
+    match Hashtbl.find_opt rule_key_table r with Some keys -> keys | None -> rule_keys r "fold")
   | Actions.Apply_pass p -> [ "pass:" ^ Actions.pass_name p; "act:pass" ]
   | Actions.Unsound (k, _) -> [ "unsound:" ^ Actions.unsound_name k; "act:unsound" ]
   | Actions.Corrupt c -> [ "corrupt:" ^ Actions.corruption_name c; "act:corrupt" ]
@@ -99,11 +112,13 @@ let noise (t : t) ~(sample_id : int) (signature : string) : float =
   let h = Hashtbl.hash (sample_id, signature, "veriopt-noise") in
   (float_of_int (h land 0xffff) /. 32768.) -. 1.0 |> fun x -> x *. t.noise_scale
 
-type avail = { action : Actions.action; keys : string list }
+type avail = { action : Actions.action; signature : string; keys : string list }
+
+let avail_of (a : Actions.action) : avail =
+  { action = a; signature = Actions.action_to_string a; keys = keys_of_action a }
 
 let score (t : t) ~sample_id (a : avail) : float =
-  List.fold_left (fun acc k -> acc +. get t k) 0. a.keys
-  +. noise t ~sample_id (Actions.action_to_string a.action)
+  List.fold_left (fun acc k -> acc +. get t k) 0. a.keys +. noise t ~sample_id a.signature
 
 (** One recorded decision: the probabilities over the available choices and
     which was taken.  Sufficient statistics for d log pi / d theta. *)
@@ -143,56 +158,71 @@ let choose (t : t) ~(rng : Random.State.t option) ~sample_id (avail : avail list
 
 let max_edit_steps = 24
 
-(** Available actions at one point of an attempt.  [mask] removes one action
-    signature (used when correcting a diagnosed mistake). *)
+(* The choices that do not depend on the input, built once. *)
+let pass_avails =
+  List.map
+    (fun (p, global) -> (p, global, avail_of (Actions.Apply_pass p)))
+    [
+      (Actions.Mem2reg, true);
+      (Actions.Simplifycfg, true);
+      (Actions.Forward_loads, false);
+      (Actions.Dead_stores, false);
+    ]
+
+let unsound_avails =
+  List.map
+    (fun k -> (k, List.init 3 (fun i -> avail_of (Actions.Unsound (k, i)))))
+    [
+      Actions.Wrong_constant;
+      Actions.Flip_operands;
+      Actions.Predicate_flip;
+      Actions.Drop_store;
+      Actions.Bogus_flag;
+      Actions.Width_confusion;
+      Actions.Stale_forward;
+    ]
+
+let corrupt_avails = List.map (fun c -> avail_of (Actions.Corrupt c)) Actions.all_corruptions
+let stop_avail = avail_of Actions.Stop
+let copy_avail = avail_of Actions.Copy_input
+
+(** Available actions at one point of an attempt.  [mask] removes action
+    signatures (used when correcting a diagnosed mistake). *)
 let available ?(mask = []) ?(size_limit = max_int) ~(first : bool) (modul : Ast.modul)
     (f : Ast.func) : avail list =
   let rules =
-    Actions.enumerate_rule_sites modul f
-    |> List.map (fun (r, site) -> { action = Actions.Apply_rule (r, site); keys = keys_of_action (Actions.Apply_rule (r, site)) })
+    List.map
+      (fun (r, site) -> avail_of (Actions.Apply_rule (r, site)))
+      (Actions.enumerate_rule_sites modul f)
   in
   let passes =
     (* local memory cleanups are always in scope; whole-function passes only
        fit on small functions (capacity limit) *)
     List.filter_map
-      (fun (p, global) ->
+      (fun (p, global, a) ->
         if (not (global && Veriopt_cost.Icount.of_func f > size_limit)) && Actions.pass_applicable modul f p
-        then Some { action = Actions.Apply_pass p; keys = keys_of_action (Actions.Apply_pass p) }
+        then Some a
         else None)
-      [
-        (Actions.Mem2reg, true);
-        (Actions.Simplifycfg, true);
-        (Actions.Forward_loads, false);
-        (Actions.Dead_stores, false);
-      ]
+      pass_avails
   in
   let unsound =
     List.concat_map
-      (fun k ->
+      (fun (k, avails) ->
         let n = Actions.unsound_sites f k in
-        List.init (min n 3) (fun i ->
-            { action = Actions.Unsound (k, i); keys = keys_of_action (Actions.Unsound (k, i)) }))
-      [
-        Actions.Wrong_constant;
-        Actions.Flip_operands;
-        Actions.Predicate_flip;
-        Actions.Drop_store;
-        Actions.Bogus_flag;
-        Actions.Width_confusion;
-        Actions.Stale_forward;
-      ]
-  in
-  let corrupt =
-    List.map
-      (fun c -> { action = Actions.Corrupt c; keys = keys_of_action (Actions.Corrupt c) })
-      Actions.all_corruptions
+        List.filteri (fun i _ -> i < n) avails)
+      unsound_avails
   in
   let base =
-    rules @ passes @ unsound @ corrupt
-    @ [ { action = Actions.Stop; keys = keys_of_action Actions.Stop } ]
-    @ if first then [ { action = Actions.Copy_input; keys = keys_of_action Actions.Copy_input } ] else []
+    rules @ passes @ unsound @ corrupt_avails @ [ stop_avail ] @ if first then [ copy_avail ] else []
   in
-  List.filter (fun a -> not (List.mem (Actions.action_to_string a.action) mask)) base
+  List.filter (fun a -> not (List.mem a.signature mask)) base
+
+(** Signatures a retry masks out once the first attempt is diagnosed from
+    [evidence]. *)
+let mask_of_evidence = function
+  | Diag.Saw_corruption c -> [ Actions.action_to_string (Actions.Corrupt c) ]
+  | Diag.Saw_unsound k -> List.init 3 (fun i -> Actions.action_to_string (Actions.Unsound (k, i)))
+  | Diag.Saw_only_sound -> []
 
 type attempt = {
   out_func : Ast.func;
@@ -296,20 +326,16 @@ let attempt_text (_t : t) ~sample_id (a : attempt) : string =
     let rng = Random.State.make [| sample_id; Hashtbl.hash (Actions.corruption_name c) |] in
     Actions.corrupt_text rng c text
 
+(* The format and diagnosis choices reuse [stop_avail]'s action and
+   signature as a placeholder; their keys drive everything. *)
 let diag_avail (ev : Diag.self_evidence) : avail list =
   List.map
     (fun c ->
-      {
-        action = Actions.Stop (* placeholder; keys drive everything *);
-        keys = [ Fmt.str "diag:%s:%s" (Diag.evidence_name ev) (Diag.class_name c) ];
-      })
+      { stop_avail with keys = [ Fmt.str "diag:%s:%s" (Diag.evidence_name ev) (Diag.class_name c) ] })
     Diag.all_classes
 
 let format_avail : avail list =
-  [
-    { action = Actions.Stop; keys = [ "format:ok" ] };
-    { action = Actions.Stop; keys = [ "format:bad" ] };
-  ]
+  [ { stop_avail with keys = [ "format:ok" ] }; { stop_avail with keys = [ "format:bad" ] } ]
 
 let generate (t : t) ~(mode : Prompt.mode) ~(rng : Random.State.t option) ~(sample_id : int)
     (modul : Ast.modul) (f : Ast.func) : generation =
@@ -359,14 +385,7 @@ let generate (t : t) ~(mode : Prompt.mode) ~(rng : Random.State.t option) ~(samp
     else begin
       (* the model believes its attempt failed: diagnose, then retry with
          the diagnosed action masked out *)
-      let mask =
-        match a1.evidence with
-        | Diag.Saw_corruption c -> [ Actions.action_to_string (Actions.Corrupt c) ]
-        | Diag.Saw_unsound k ->
-          List.init 3 (fun i -> Actions.action_to_string (Actions.Unsound (k, i)))
-        | Diag.Saw_only_sound -> []
-      in
-      let a2 = rollout_attempt t ~rng ~sample_id ~mask modul f in
+      let a2 = rollout_attempt t ~rng ~sample_id ~mask:(mask_of_evidence a1.evidence) modul f in
       List.iter push a2.attempt_steps;
       let answer = attempt_text t ~sample_id a2 in
       let diag_msg = Diag.message_of_class claimed in

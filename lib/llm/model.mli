@@ -40,8 +40,17 @@ val clone : ?name:string -> ?noise_scale:float -> ?halluc_rate:float -> t -> t
 (** {1 Scoring and decisions} *)
 
 val keys_of_action : Actions.action -> string list
+(** Rule keys are shared lists from a table built when the module
+    initialises; a rule outside {!Veriopt_passes.Instcombine.all_rules}
+    gets family ["fold"]. *)
 
-type avail = { action : Actions.action; keys : string list }
+val noise : t -> sample_id:int -> string -> float
+(** The deterministic input-dependent pseudo-noise of one signature: a
+    value in the range from -1 to 1, scaled by [noise_scale]. *)
+
+type avail = { action : Actions.action; signature : string; keys : string list }
+(** One offered choice; [signature] is [Actions.action_to_string action],
+    computed once. *)
 
 val score : t -> sample_id:int -> avail -> float
 
@@ -55,6 +64,11 @@ val choose : t -> rng:Random.State.t option -> sample_id:int -> avail list -> in
 
 val available :
   ?mask:string list -> ?size_limit:int -> first:bool -> Ast.modul -> Ast.func -> avail list
+(** The choices offered at one point of an attempt; [mask] removes
+    signatures. *)
+
+val mask_of_evidence : Diag.self_evidence -> string list
+(** The signatures a retry masks out after diagnosing its first attempt. *)
 
 val format_avail : avail list
 val diag_avail : Diag.self_evidence -> avail list

@@ -77,93 +77,120 @@ let correction_datum (r : failure_record) : datum =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Likelihood gradient of a teacher sequence *)
+(* The decision tape.
 
-let bump grad k v = Hashtbl.replace grad k (v +. Option.value ~default:0. (Hashtbl.find_opt grad k))
+   Neither the states a teacher sequence walks through nor the choices
+   offered at each of them depend on the parameters, and the noise term
+   depends only on the model's [noise_scale], which SFT never changes.  So
+   [train] replays each datum once into a tape of decisions, and every epoch
+   only scores the tape against the current parameters. *)
 
-(* Cross-entropy gradient for choosing [target] among [avail]. *)
-let grade_choice (model : Model.t) grad ~sample_id (avail : Model.avail list) (target_index : int)
-    : unit =
-  let arr = Array.of_list avail in
-  let scores = Array.map (Model.score model ~sample_id) arr in
-  let probs = Model.softmax model.Model.temperature scores in
-  Array.iteri
-    (fun j (a : Model.avail) ->
-      let indicator = if j = target_index then 1.0 else 0.0 in
-      List.iter (fun k -> bump grad k (indicator -. probs.(j))) a.Model.keys)
-    arr
+type decision = {
+  keys : string list array; (* one entry per offered choice *)
+  noise : float array;
+  target : int; (* the teacher's choice *)
+}
+
+(* [sample_id] seeds the noise.  It is the hash of the printed source, as
+   SFT has always keyed it, not the Suite id generation uses: a Suite id is
+   a position that every dataset numbers from 0, and rekeying would redraw
+   every SFT noise term and so move every trained model. *)
+type tape = { sample_id : int; decisions : decision list }
 
 let find_action (avail : Model.avail list) (a : Actions.action) : int option =
   let s = Actions.action_to_string a in
   let rec go i = function
     | [] -> None
-    | (x : Model.avail) :: rest ->
-      if Actions.action_to_string x.Model.action = s then Some i else go (i + 1) rest
+    | (x : Model.avail) :: rest -> if x.Model.signature = s then Some i else go (i + 1) rest
   in
   go 0 avail
 
-(* Replay an attempt's actions, accumulating gradient; returns how many
-   teacher actions could not be matched (diagnostic). *)
-let replay_attempt (model : Model.t) grad ~sample_id ?(mask = []) (modul : Ast.modul)
-    (src : Ast.func) (actions : Actions.action list) : int =
-  let missing = ref 0 in
+let decision (model : Model.t) ~sample_id (avail : Model.avail list) (target : int) : decision =
+  let arr = Array.of_list avail in
+  {
+    keys = Array.map (fun (a : Model.avail) -> a.Model.keys) arr;
+    noise = Array.map (fun (a : Model.avail) -> Model.noise model ~sample_id a.Model.signature) arr;
+    target;
+  }
+
+(* Replay an attempt's actions into decisions; a teacher action that is not
+   offered at its state leaves no decision. *)
+let replay_attempt (model : Model.t) ~sample_id ?(mask = []) (modul : Ast.modul) (src : Ast.func)
+    (actions : Actions.action list) : decision list =
+  let decisions = ref [] in
   let cur = ref src in
   List.iteri
     (fun i a ->
       let avail = Model.available ~mask ~first:(i = 0) modul !cur in
-      (match find_action avail a with
-      | Some idx -> grade_choice model grad ~sample_id avail idx
-      | None -> incr missing);
+      Option.iter
+        (fun idx -> decisions := decision model ~sample_id avail idx :: !decisions)
+        (find_action avail a);
       match a with
       | Actions.Apply_rule (r, site) -> cur := Actions.apply_rule modul !cur r site
       | Actions.Apply_pass p -> cur := Actions.apply_pass modul !cur p
       | Actions.Unsound (k, idx) -> cur := Actions.apply_unsound !cur k idx
       | Actions.Corrupt _ | Actions.Copy_input | Actions.Stop -> ())
     actions;
-  !missing
+  List.rev !decisions
 
-let mask_of_evidence = function
-  | Diag.Saw_corruption c -> [ Actions.action_to_string (Actions.Corrupt c) ]
-  | Diag.Saw_unsound k -> List.init 3 (fun i -> Actions.action_to_string (Actions.Unsound (k, i)))
-  | Diag.Saw_only_sound -> []
-
-(* One datum's gradient contribution. *)
-let grade_datum (model : Model.t) grad (d : datum) : unit =
+let tape_of_datum (model : Model.t) (d : datum) : tape =
   let sample_id = Hashtbl.hash (Printer.func_to_string d.src) in
-  (* teacher always emits the correct format *)
-  grade_choice model grad ~sample_id Model.format_avail 0;
-  let (_ : int) = replay_attempt model grad ~sample_id d.modul d.src d.attempt1 in
-  match d.diagnosis with
-  | None -> ()
-  | Some (evidence, cls) -> (
-    let avail = Model.diag_avail evidence in
-    let idx =
-      let rec find i = function
-        | [] -> 0
-        | c :: rest -> if c = cls then i else find (i + 1) rest
+  (* the teacher always emits the correct format *)
+  let format = decision model ~sample_id Model.format_avail 0 in
+  let attempt1 = replay_attempt model ~sample_id d.modul d.src d.attempt1 in
+  let correction =
+    match d.diagnosis with
+    | None -> []
+    | Some (evidence, cls) ->
+      let idx =
+        let rec find i = function
+          | [] -> 0
+          | c :: rest -> if c = cls then i else find (i + 1) rest
+        in
+        find 0 Diag.all_classes
       in
-      find 0 Diag.all_classes
-    in
-    grade_choice model grad ~sample_id avail idx;
-    match d.attempt2 with
-    | None -> ()
-    | Some actions ->
-      let mask = mask_of_evidence evidence in
-      let (_ : int) =
-        replay_attempt model grad ~sample_id ~mask d.modul d.src actions
-      in
-      ())
+      decision model ~sample_id (Model.diag_avail evidence) idx
+      ::
+      (match d.attempt2 with
+      | None -> []
+      | Some actions ->
+        replay_attempt model ~sample_id ~mask:(Model.mask_of_evidence evidence) d.modul d.src
+          actions)
+  in
+  { sample_id; decisions = (format :: attempt1) @ correction }
+
+(* ------------------------------------------------------------------ *)
+(* Likelihood gradient of a tape *)
+
+let bump grad k v = Hashtbl.replace grad k (v +. Option.value ~default:0. (Hashtbl.find_opt grad k))
+
+(* Cross-entropy gradient for choosing [d.target] under the current
+   parameters; the scores add up exactly as [Model.score] does. *)
+let grade (model : Model.t) grad (d : decision) : unit =
+  let scores =
+    Array.mapi
+      (fun j keys -> List.fold_left (fun acc k -> acc +. Model.get model k) 0. keys +. d.noise.(j))
+      d.keys
+  in
+  let probs = Model.softmax model.Model.temperature scores in
+  Array.iteri
+    (fun j keys ->
+      let indicator = if j = d.target then 1.0 else 0.0 in
+      List.iter (fun k -> bump grad k (indicator -. probs.(j))) keys)
+    d.keys
 
 type config = { epochs : int; learning_rate : float; clip_norm : float }
 
 let default_config = { epochs = 4; learning_rate = 0.5; clip_norm = 8.0 }
 
 (** Train by maximum likelihood over the data.  Single-threaded, full-batch
-    per epoch with gradient clipping. *)
+    per epoch with gradient clipping; each datum is replayed once, into its
+    tape, before the first epoch. *)
 let train (cfg : config) (model : Model.t) (data : datum list) : unit =
+  let tapes = List.map (tape_of_datum model) data in
   for _epoch = 1 to cfg.epochs do
     let grad = Hashtbl.create 512 in
-    List.iter (grade_datum model grad) data;
+    List.iter (fun t -> List.iter (grade model grad) t.decisions) tapes;
     let n = float_of_int (max 1 (List.length data)) in
     let norm = sqrt (Hashtbl.fold (fun _ g acc -> acc +. (g *. g)) grad 0.) /. n in
     let scale = if norm > cfg.clip_norm then cfg.clip_norm /. norm else 1.0 in

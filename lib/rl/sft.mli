@@ -29,7 +29,28 @@ val teacher_edits : Veriopt_ir.Ast.modul -> Veriopt_ir.Ast.func -> Actions.actio
 val first_time_datum : augmented:bool -> Suite.sample -> datum
 val correction_datum : failure_record -> datum
 
-val mask_of_evidence : Diag.self_evidence -> string list
+(** {1 The decision tape}
+
+    Neither the states a teacher sequence walks through nor the choices
+    offered there depend on the parameters, so {!train} replays each datum
+    once into a tape and every epoch only scores the tape. *)
+
+type decision = {
+  keys : string list array;  (** per offered choice *)
+  noise : float array;  (** per offered choice, from {!Model.noise} *)
+  target : int;  (** the teacher's choice *)
+}
+
+type tape = {
+  sample_id : int;  (** hash of the printed source (the noise seed) *)
+  decisions : decision list;
+      (** the format choice, the first attempt, then (with a diagnosis) the
+          diagnosis and the masked retry; a teacher action that is not
+          offered leaves no decision *)
+}
+
+val tape_of_datum : Model.t -> datum -> tape
+(** Noise is drawn with the given model's [noise_scale]. *)
 
 type config = { epochs : int; learning_rate : float; clip_norm : float }
 

@@ -357,7 +357,26 @@ let report_tests =
           [ "cache"; "tier"; "sat"; "VERIOPT_JOBS" ]);
   ]
 
+let fuel_tests =
+  [
+    Alcotest.test_case "tier 1 classifies a long-running pair on its own fuel" `Quick (fun () ->
+        (* about 400k interpreter steps per run: past the 200k default,
+           inside this engine's 1M budget.  Re-running the distinguishing
+           input on less fuel than the oracle had would lose both values
+           and fall back to the generic "does not refine" message. *)
+        let m, src, tgt = loop_pair ~bound:80_000 ~ret:80_001 () in
+        let e = Engine.create ~tier1_fuel:1_000_000 () in
+        let v = Engine.verify_funcs e m ~src ~tgt in
+        Alcotest.check category "semantic error" A.Semantic_error v.A.category;
+        let st = Engine.stats e in
+        Alcotest.(check int) "decided by tier 1" 1 st.Vcache.tier1_hits;
+        Alcotest.(check int) "SMT tier never ran" 0 st.Vcache.tier2_runs;
+        List.iter
+          (fun line -> Alcotest.(check bool) line true (contains v.A.message line))
+          [ "Value mismatch"; "Source value: 80000"; "Target value: 80001" ]);
+  ]
+
 let suite =
   ( "engine",
     cached_matches_fresh_tests @ tier1_tests @ cache_tests @ par_tests @ satellite_tests
-    @ incremental_tests @ breaker_tests @ report_tests )
+    @ incremental_tests @ breaker_tests @ report_tests @ fuel_tests )

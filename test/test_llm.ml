@@ -203,4 +203,84 @@ let diag_tests =
           > Veriopt_nlp.Bleu.score (Diag.message_of_class Diag.C_trace) alive_msg));
   ]
 
-let suite = ("llm", prompt_tests @ action_tests @ generation_tests @ capability_tests @ diag_tests)
+(* The keys an action had before rule keys were interned: a linear
+   [find_rule] scan, with family "fold" for a name outside the catalog. *)
+let find_rule_keys (a : Actions.action) : string list =
+  match a with
+  | Actions.Apply_rule (r, _) ->
+    let family =
+      match Veriopt_passes.Instcombine.find_rule r with
+      | Some rule -> rule.Veriopt_passes.Rewrite.family
+      | None -> "fold"
+    in
+    [ "rule:" ^ r; "family:" ^ family; "act:rule" ]
+  | Actions.Apply_pass p -> [ "pass:" ^ Actions.pass_name p; "act:pass" ]
+  | Actions.Unsound (k, _) -> [ "unsound:" ^ Actions.unsound_name k; "act:unsound" ]
+  | Actions.Corrupt c -> [ "corrupt:" ^ Actions.corruption_name c; "act:corrupt" ]
+  | Actions.Copy_input -> [ "act:copy" ]
+  | Actions.Stop -> [ "act:stop" ]
+
+let avail_tests =
+  [
+    Alcotest.test_case "offered choices carry their signature and find_rule keys" `Quick
+      (fun () ->
+        let check_avail ~what avail =
+          List.iter
+            (fun (a : M.avail) ->
+              let s = Actions.action_to_string a.M.action in
+              Alcotest.(check string) (what ^ " signature") s a.M.signature;
+              Alcotest.(check (list string)) (what ^ " keys of " ^ s) (find_rule_keys a.M.action)
+                a.M.keys)
+            avail
+        in
+        for seed = 0 to 29 do
+          let m, f = Veriopt_data.Lower.lower (Veriopt_data.Cgen.generate ~seed ~name:"t" ()) in
+          List.iter
+            (fun first -> check_avail ~what:(Printf.sprintf "seed %d" seed) (M.available ~first m f))
+            [ true; false ]
+        done;
+        (* a constant-fold site is outside the rule catalog: family "fold" *)
+        let f =
+          parse
+            "define i32 @f(i32 %x) {\nentry:\n  %a = add i32 2, 3\n  %r = add i32 %x, %a\n  ret i32 %r\n}"
+        in
+        let avail = M.available ~first:true m0 f in
+        Alcotest.(check bool) "constant-fold offered" true
+          (List.exists
+             (fun (a : M.avail) -> a.M.action = Actions.Apply_rule ("constant-fold", "a"))
+             avail);
+        check_avail ~what:"constant-fold" avail;
+        Alcotest.(check (list string)) "constant-fold keys"
+          [ "rule:constant-fold"; "family:fold"; "act:rule" ]
+          (M.keys_of_action (Actions.Apply_rule ("constant-fold", "a")));
+        let unknown = Actions.Apply_rule ("no-such-rule", "a") in
+        Alcotest.(check (list string)) "unknown rule keys" (find_rule_keys unknown)
+          (M.keys_of_action unknown);
+        (* catalog keys are shared, not rebuilt per offer *)
+        let known = Actions.Apply_rule ("add-zero", "a") in
+        Alcotest.(check bool) "add-zero keys interned" true
+          (M.keys_of_action known == M.keys_of_action (Actions.Apply_rule ("add-zero", "b"))));
+    Alcotest.test_case "a mask removes exactly the diagnosed signatures" `Quick (fun () ->
+        let f = parse sample_src in
+        let signatures mask =
+          List.map (fun (a : M.avail) -> a.M.signature) (M.available ~mask ~first:true m0 f)
+        in
+        let all = signatures [] in
+        List.iter
+          (fun (ev, removed) ->
+            List.iter
+              (fun s -> Alcotest.(check bool) (s ^ " offered unmasked") true (List.mem s all))
+              removed;
+            Alcotest.(check (list string)) (Diag.evidence_name ev)
+              (List.filter (fun s -> not (List.mem s removed)) all)
+              (signatures (M.mask_of_evidence ev)))
+          [
+            (Diag.Saw_only_sound, []);
+            (Diag.Saw_corruption Actions.Type_mismatch, [ "corrupt:type-mismatch" ]);
+            ( Diag.Saw_unsound Actions.Wrong_constant,
+              [ "unsound:wrong-constant@0"; "unsound:wrong-constant@1" ] );
+          ]);
+  ]
+
+let suite =
+  ("llm", prompt_tests @ action_tests @ generation_tests @ capability_tests @ diag_tests @ avail_tests)

@@ -9,6 +9,7 @@ module Cap = Veriopt_llm.Capability
 module S = Veriopt_data.Suite
 module Prompt = Veriopt_llm.Prompt
 module Diag = Veriopt_llm.Diag
+module T = Veriopt_rl.Trainer
 
 let m0 = Ast.empty_module
 let parse = Parser.parse_func
@@ -168,4 +169,162 @@ let sft_tests =
         Alcotest.(check bool) "sft at least as accurate" true (accuracy sft >= accuracy base));
   ]
 
-let suite = ("rl", reward_tests @ grpo_tests @ sft_tests)
+(* ------------------------------------------------------------------ *)
+(* The reference SFT: every epoch replays every datum against the policy
+   and grades each teacher choice afresh, as [Sft.train] did before it
+   graded a decision tape built once.  Kept verbatim as the oracle of the
+   differential test below. *)
+module Reference_sft = struct
+  module Actions = Veriopt_llm.Actions
+
+  let bump grad k v =
+    Hashtbl.replace grad k (v +. Option.value ~default:0. (Hashtbl.find_opt grad k))
+
+  let score (model : M.t) ~sample_id (a : M.avail) =
+    List.fold_left (fun acc k -> acc +. M.get model k) 0. a.M.keys
+    +. M.noise model ~sample_id (Actions.action_to_string a.M.action)
+
+  let grade_choice (model : M.t) grad ~sample_id (avail : M.avail list) (target_index : int) =
+    let arr = Array.of_list avail in
+    let scores = Array.map (score model ~sample_id) arr in
+    let probs = M.softmax model.M.temperature scores in
+    Array.iteri
+      (fun j (a : M.avail) ->
+        let indicator = if j = target_index then 1.0 else 0.0 in
+        List.iter (fun k -> bump grad k (indicator -. probs.(j))) a.M.keys)
+      arr
+
+  let find_action (avail : M.avail list) (a : Actions.action) : int option =
+    let s = Actions.action_to_string a in
+    let rec go i = function
+      | [] -> None
+      | (x : M.avail) :: rest ->
+        if Actions.action_to_string x.M.action = s then Some i else go (i + 1) rest
+    in
+    go 0 avail
+
+  let replay_attempt (model : M.t) grad ~sample_id ?(mask = []) (modul : Ast.modul)
+      (src : Ast.func) (actions : Actions.action list) : unit =
+    let cur = ref src in
+    List.iteri
+      (fun i a ->
+        let avail = M.available ~mask ~first:(i = 0) modul !cur in
+        (match find_action avail a with
+        | Some idx -> grade_choice model grad ~sample_id avail idx
+        | None -> ());
+        match a with
+        | Actions.Apply_rule (r, site) -> cur := Actions.apply_rule modul !cur r site
+        | Actions.Apply_pass p -> cur := Actions.apply_pass modul !cur p
+        | Actions.Unsound (k, idx) -> cur := Actions.apply_unsound !cur k idx
+        | Actions.Corrupt _ | Actions.Copy_input | Actions.Stop -> ())
+      actions
+
+  let mask_of_evidence = function
+    | Diag.Saw_corruption c -> [ Actions.action_to_string (Actions.Corrupt c) ]
+    | Diag.Saw_unsound k ->
+      List.init 3 (fun i -> Actions.action_to_string (Actions.Unsound (k, i)))
+    | Diag.Saw_only_sound -> []
+
+  let grade_datum (model : M.t) grad (d : Sft.datum) : unit =
+    let sample_id = Hashtbl.hash (Printer.func_to_string d.Sft.src) in
+    grade_choice model grad ~sample_id M.format_avail 0;
+    replay_attempt model grad ~sample_id d.Sft.modul d.Sft.src d.Sft.attempt1;
+    match d.Sft.diagnosis with
+    | None -> ()
+    | Some (evidence, cls) -> (
+      let idx =
+        let rec find i = function
+          | [] -> 0
+          | c :: rest -> if c = cls then i else find (i + 1) rest
+        in
+        find 0 Diag.all_classes
+      in
+      grade_choice model grad ~sample_id (M.diag_avail evidence) idx;
+      match d.Sft.attempt2 with
+      | None -> ()
+      | Some actions ->
+        replay_attempt model grad ~sample_id ~mask:(mask_of_evidence evidence) d.Sft.modul
+          d.Sft.src actions)
+
+  let train (cfg : Sft.config) (model : M.t) (data : Sft.datum list) : unit =
+    for _epoch = 1 to cfg.Sft.epochs do
+      let grad = Hashtbl.create 512 in
+      List.iter (grade_datum model grad) data;
+      let n = float_of_int (max 1 (List.length data)) in
+      let norm = sqrt (Hashtbl.fold (fun _ g acc -> acc +. (g *. g)) grad 0.) /. n in
+      let scale = if norm > cfg.Sft.clip_norm then cfg.Sft.clip_norm /. norm else 1.0 in
+      Hashtbl.iter
+        (fun k g ->
+          if not (M.is_frozen model k) then begin
+            let p = M.param model k in
+            p := !p +. (cfg.Sft.learning_rate *. scale *. g /. n)
+          end)
+        grad
+    done
+end
+
+(* theta in table order, each value as its bit pattern *)
+let theta_bits (model : M.t) =
+  Hashtbl.fold (fun k r acc -> (k, Int64.bits_of_float !r) :: acc) model.M.theta []
+
+let tape_tests =
+  [
+    Alcotest.test_case "SFT on a decision tape leaves theta bit-identical to the replay" `Quick
+      (fun () ->
+        (* correction data from real Model-Zero failures, with both the
+           corruption and the unsound masks among them *)
+        let ds = S.build ~verify:false ~seed0:123 ~n:6 () in
+        let base = Cap.base_3b () in
+        let opts = { T.default_options with T.grpo_steps = 3 } in
+        let failures = (T.train_model_zero ~opts base ds.S.samples).T.failures in
+        let has p = List.exists (fun (f : Sft.failure_record) -> p f.Sft.f_evidence) failures in
+        Alcotest.(check bool) "a corruption mask" true
+          (has (function Diag.Saw_corruption _ -> true | _ -> false));
+        Alcotest.(check bool) "an unsound mask" true
+          (has (function Diag.Saw_unsound _ -> true | _ -> false));
+        let data =
+          List.map (Sft.first_time_datum ~augmented:true) ds.S.samples
+          @ List.map Sft.correction_datum failures
+        in
+        let fresh () = M.clone ~name:"Warm-up" ~noise_scale:(0.72 *. base.M.noise_scale) base in
+        let taped = fresh () and replayed = fresh () in
+        Sft.train Sft.default_config taped data;
+        Reference_sft.train Sft.default_config replayed data;
+        let sorted m = List.sort compare (theta_bits m) in
+        Alcotest.(check (list string)) "same key set"
+          (List.map fst (sorted replayed)) (List.map fst (sorted taped));
+        List.iter2
+          (fun (k, want) (_, got) -> Alcotest.(check int64) k want got)
+          (sorted replayed) (sorted taped);
+        Alcotest.(check (list string)) "same insertion order"
+          (List.map fst (theta_bits replayed)) (List.map fst (theta_bits taped));
+        (* the tape keys its noise on the printed source *)
+        List.iter
+          (fun (d : Sft.datum) ->
+            let tape = Sft.tape_of_datum taped d in
+            Alcotest.(check int) "sample id" (Hashtbl.hash (Printer.func_to_string d.Sft.src))
+              tape.Sft.sample_id;
+            List.iter
+              (fun (dec : Sft.decision) ->
+                Alcotest.(check int) "one noise per choice" (Array.length dec.Sft.keys)
+                  (Array.length dec.Sft.noise);
+                Alcotest.(check bool) "target offered" true
+                  (dec.Sft.target >= 0 && dec.Sft.target < Array.length dec.Sft.keys))
+              tape.Sft.decisions)
+          data);
+    Alcotest.test_case "full pipeline reward log is pinned" `Quick (fun () ->
+        (* six samples, three GRPO steps per stage; the digest was recorded
+           before SFT graded a decision tape, and must not move with it *)
+        let ds = S.build ~verify:false ~seed0:4242 ~n:6 () in
+        let opts = { T.default_options with T.grpo_steps = 3 } in
+        let r = T.full_pipeline ~opts (Cap.base_3b ()) ds.S.samples in
+        let rewards =
+          r.T.stage1.T.zero_log.T.raw_rewards @ r.T.stage2.T.correctness_log.T.raw_rewards
+          @ r.T.stage3.T.latency_log.T.raw_rewards
+        in
+        let log = String.concat "," (List.map (Printf.sprintf "%h") rewards) in
+        Alcotest.(check string) "reward-log digest" "de7c27adaa2700eb02f4c6badd7e3361"
+          (Digest.to_hex (Digest.string log)));
+  ]
+
+let suite = ("rl", reward_tests @ grpo_tests @ sft_tests @ tape_tests)
