@@ -158,5 +158,13 @@ let shared () =
   Mutex.unlock shared_mutex;
   p
 
-let shared_jobs () = size (shared ())
+(* Reads the pool's size without creating it: asking how parallel a run
+   would be must not spawn domains, since OCaml 5 refuses [fork] after the
+   first one. *)
+let shared_jobs () =
+  Mutex.lock shared_mutex;
+  let pool = !shared_pool in
+  Mutex.unlock shared_mutex;
+  match pool with Some p -> p.jobs | None -> default_jobs ()
+
 let run f xs = map (shared ()) f xs

@@ -36,10 +36,13 @@ val default_jobs : unit -> int
 
 val shared : unit -> t
 (** The process-wide pool, created on first use and sized by
-    [VERIOPT_JOBS]; shut down automatically at exit. *)
+    [VERIOPT_JOBS]; shut down automatically at exit.  Only [shared] and
+    {!run} (so [map (shared ())]) create the pool and spawn its domains. *)
 
 val shared_jobs : unit -> int
-(** Effective parallelism of the shared pool. *)
+(** Effective parallelism of the shared pool: its [jobs] once it exists,
+    else {!default_jobs}.  Spawns nothing and does not create the pool, so
+    a caller that only sizes its work leaves [fork] available. *)
 
 val run : ('a -> 'b) -> 'a list -> 'b list
 (** [map (shared ()) f xs]. *)

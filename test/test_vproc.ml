@@ -563,34 +563,51 @@ let trainer_tests =
       `Slow (fun () ->
         let train = (S.build ~verify:false ~seed0:60301 ~n:4 ()).S.samples in
         let base = Veriopt_llm.Capability.base_3b () in
+        (* the unverified build above, the pool size and the stats report only
+           ask how parallel a run would be; none of them may create the Par
+           pool, or the proc backend below silently falls back to domains *)
+        Alcotest.(check bool) "a positive job count" true
+          (Veriopt_par.Par.shared_jobs () >= 1);
+        (let e = Engine.create ~tier1_samples:0 ~isolate:Engine.Domains () in
+         let ppf = Format.formatter_of_buffer (Buffer.create 256) in
+         Veriopt.Report.engine_stats ppf e;
+         Format.pp_print_flush ppf ();
+         Engine.shutdown e);
         let engine = Engine.create ~isolate:Engine.Proc () in
-        Alcotest.(check bool) "proc backend live pre-domains" true
-          (Engine.isolate engine = Engine.Proc);
-        Vproc.reset_stats ();
-        (* one direct hostile call pins the kill path before training *)
-        let m, src, tgt = hostile_pair () in
-        with_faults "seed=1,worker_hang=1" (fun () ->
-            let v =
-              Engine.verify_funcs ~deadline:(Unix.gettimeofday () +. 0.05) engine m ~src ~tgt
+        (* a worker respawned after the last kill can be left spinning on a
+           stale request; only shutting the pool down reaps it *)
+        Fun.protect
+          ~finally:(fun () -> Engine.shutdown engine)
+          (fun () ->
+            Alcotest.(check bool) "proc backend live pre-domains" true
+              (Engine.isolate engine = Engine.Proc);
+            Vproc.reset_stats ();
+            (* one direct hostile call pins the kill path before training *)
+            let m, src, tgt = hostile_pair () in
+            with_faults "seed=1,worker_hang=1" (fun () ->
+                let v =
+                  Engine.verify_funcs ~deadline:(Unix.gettimeofday () +. 0.05) engine m ~src
+                    ~tgt
+                in
+                Alcotest.check category "hostile degraded" A.Inconclusive v.A.category);
+            Alcotest.(check bool) "worker killed" true ((Vproc.stats ()).Vproc.killed >= 1);
+            (* now the sweep: every tier-2 verdict in the reward path degrades,
+               the stage itself must neither crash nor hang *)
+            let opts =
+              {
+                Trainer.default_options with
+                Trainer.grpo_steps = 4;
+                group_size = 4;
+                verify_timeout = Some 0.05;
+              }
             in
-            Alcotest.check category "hostile degraded" A.Inconclusive v.A.category);
-        Alcotest.(check bool) "worker killed" true ((Vproc.stats ()).Vproc.killed >= 1);
-        (* now the sweep: every tier-2 verdict in the reward path degrades,
-           the stage itself must neither crash nor hang *)
-        let opts =
-          {
-            Trainer.default_options with
-            Trainer.grpo_steps = 4;
-            group_size = 4;
-            verify_timeout = Some 0.05;
-          }
-        in
-        let r =
-          with_faults "seed=1,worker_hang=1" (fun () ->
-              Trainer.train_model_zero ~opts ~engine base train)
-        in
-        Alcotest.(check int) "every GRPO step logged" 4
-          (List.length r.Trainer.zero_log.Trainer.raw_rewards));
+            let r =
+              with_faults "seed=1,worker_hang=1" (fun () ->
+                  Trainer.train_model_zero ~opts ~engine base train)
+            in
+            Alcotest.(check int) "every GRPO step logged" 4
+              (List.length r.Trainer.zero_log.Trainer.raw_rewards));
+        Alcotest.(check int) "no orphans after shutdown" 0 (Engine.orphans engine));
   ]
 
 let suite = ("vproc", eintr_tests @ pool_tests @ race_tests @ engine_tests @ trainer_tests)
