@@ -3,6 +3,14 @@
 module Fault = Veriopt_fault.Fault
 
 external setrlimit_raw : int -> int -> int = "veriopt_vproc_setrlimit"
+external pdeathsig_raw : unit -> int = "veriopt_vproc_pdeathsig"
+
+(* Called first thing in a freshly forked child: the kernel SIGKILLs it
+   once [parent] dies.  A parent that died before the signal was armed
+   has already reparented us, so re-check and leave at once. *)
+let die_with_parent parent =
+  ignore (pdeathsig_raw ());
+  if Unix.getppid () <> parent then Unix._exit 0
 
 type failure =
   | Killed of float
@@ -270,14 +278,16 @@ let supervisor_main ~handler ~mem_headroom_mb ~cpu_limit_s ~backoff_base ~backof
     resp_w : 'a =
   (* drop every registered parent-side pipe end inherited at our fork *)
   List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !fd_registry;
-  let delay = ref 0. in
+  let delay = ref 0. and me = Unix.getpid () in
   let rec loop () =
     if Unix.getppid () = 1 then Unix._exit 0 (* orphaned: the trainer is gone *)
     else begin
       if !delay > 0. then Unix.sleepf !delay;
       let t0 = Unix.gettimeofday () in
       match Unix.fork () with
-      | 0 -> worker_main ~handler ~mem_headroom_mb ~cpu_limit_s req_r resp_w
+      | 0 ->
+        die_with_parent me;
+        worker_main ~handler ~mem_headroom_mb ~cpu_limit_s req_r resp_w
       | pid -> (
         match Eintr.waitpid pid with
         | _, Unix.WEXITED 0 -> Unix._exit 0 (* clean EOF shutdown: follow suit *)
@@ -302,8 +312,10 @@ let spawn_slot ~handler ~mem_headroom_mb ~cpu_limit_s ~backoff_base ~backoff_max
   let req_r, req_w = Unix.pipe ~cloexec:false () in
   let resp_r, resp_w = Unix.pipe ~cloexec:false () in
   registry_add [ req_w; resp_r ];
+  let parent = Unix.getpid () in
   match Unix.fork () with
   | 0 ->
+    die_with_parent parent;
     supervisor_main ~handler ~mem_headroom_mb ~cpu_limit_s ~backoff_base ~backoff_max req_r
       resp_w
   | pid ->

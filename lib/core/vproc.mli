@@ -31,6 +31,12 @@
     and counts spawns/respawns.  Create pools {e before} spawning domains:
     a pool created afterwards has no slots and every [call] returns
     [Error (Unavailable _)].
+    {b Children die with their parent.}  Supervisor and worker each ask
+    the kernel (Linux [PR_SET_PDEATHSIG]) for a SIGKILL when the process
+    that forked them dies, so a creator that exits without {!shutdown}
+    leaves nothing running, even behind a wedged worker.  The signal
+    follows the forking {e thread}: create a pool on a thread that
+    outlives it.
 
     A dead worker is a {e value}, never an exception: [call] returns
     [Error] carrying which way the worker died, and the caller decides what

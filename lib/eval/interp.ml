@@ -32,10 +32,6 @@ type state = {
   mutable next_base : int;
   mutable calls : (gname * value list) list; (* impure-call trace, reversed *)
   mutable fuel : int;
-  (* Deterministic environment for external calls: maps (callee, args) to a
-     result so that source and target see the same world. *)
-  external_fn : gname -> value list -> Types.t -> value;
-  undef_value : Types.t -> value;
 }
 
 let vint width v = VInt { width; v = Bits.mask width v }
@@ -61,8 +57,7 @@ let alloc state ty =
     { bytes = Bytes.make size '\000'; poisoned = Array.make size false };
   VPtr { base; offset = 0 }
 
-let create ?(fuel = 100_000) ?(external_fn = default_external) ?(undef_value = default_undef)
-    (modul : modul) : state =
+let create ~fuel (modul : modul) : state =
   let state =
     {
       modul;
@@ -72,8 +67,6 @@ let create ?(fuel = 100_000) ?(external_fn = default_external) ?(undef_value = d
       next_base = 1;
       calls = [];
       fuel;
-      external_fn;
-      undef_value;
     }
   in
   List.iter
@@ -95,17 +88,17 @@ let lookup state v =
   | Some value -> value
   | None -> ub "use of undefined value %%%s" v
 
-let eval_const state = function
+let eval_const = function
   | CInt { width; value } -> vint width value
   | CNull -> VPtr { base = 0; offset = 0 }
-  | CUndef ty -> state.undef_value ty
+  | CUndef ty -> default_undef ty
   | CPoison _ -> VPoison
 
 let eval_operand state ?ty op =
   ignore ty;
   match op with
   | Var v -> lookup state v
-  | Const c -> eval_const state c
+  | Const c -> eval_const c
   | Global g -> (
     match Hashtbl.find_opt state.global_base g with
     | Some base -> VPtr { base; offset = 0 }
@@ -241,9 +234,75 @@ type outcome = {
   steps : int; (* dynamic instructions executed: a latency proxy for tests *)
 }
 
-let run ?(fuel = 100_000) ?external_fn ?undef_value (modul : modul) (f : func)
-    (args : value list) : outcome =
-  let state = create ~fuel ?external_fn ?undef_value modul in
+(* Divergence detection.  What a run does from a block entry on is a
+   function of the state there: the block, its predecessor (which the phis
+   read), the locals, the allocations and [next_base].  Calls to externals
+   and undef are pure functions of their arguments, and the call trace is
+   only ever written.  So a state that repeats at a block entry repeats
+   forever, the run can never return, and raising [Out_of_fuel] there is
+   exactly what spending the rest of the fuel would do.  Brent's algorithm
+   finds the repeat: past [detect_after] steps, snapshot the state at
+   power-of-two block-entry counts and compare every later entry with the
+   snapshot, the cheap fields first. *)
+
+let detect_after = 1024
+
+type snapshot = {
+  s_block : block;
+  s_from : label option;
+  s_next_base : int;
+  s_locals : (var * value) array;
+  s_allocations : (int * allocation) array;
+}
+
+let snapshot state block from =
+  {
+    s_block = block;
+    s_from = from;
+    s_next_base = state.next_base;
+    s_locals = Array.of_seq (Hashtbl.to_seq state.locals);
+    s_allocations =
+      Array.of_seq
+        (Seq.map
+           (fun (base, a) ->
+             (base, { bytes = Bytes.copy a.bytes; poisoned = Array.copy a.poisoned }))
+           (Hashtbl.to_seq state.allocations));
+  }
+
+let equal_value a b =
+  match (a, b) with
+  | VInt a, VInt b -> a.width = b.width && Int64.equal a.v b.v
+  | VPtr a, VPtr b -> a.base = b.base && a.offset = b.offset
+  | VPoison, VPoison -> true
+  | _ -> false
+
+(* Locals only grow and allocations only come from [alloc], which bumps
+   [next_base], so equal sizes plus equal snapshot bindings mean equal
+   states.  [hint] is the local that differed last time: in a loop that
+   makes progress it differs again, so a miss costs one lookup. *)
+let repeats state s block from hint =
+  let local_differs i =
+    let v, x = s.s_locals.(i) in
+    match Hashtbl.find_opt state.locals v with Some y -> not (equal_value x y) | None -> true
+  in
+  let rec locals_equal i =
+    i >= Array.length s.s_locals
+    || if local_differs i then (hint := i; false) else locals_equal (i + 1)
+  in
+  s.s_block == block
+  && Option.equal String.equal s.s_from from
+  && s.s_next_base = state.next_base
+  && Hashtbl.length state.locals = Array.length s.s_locals
+  && (!hint >= Array.length s.s_locals || not (local_differs !hint))
+  && locals_equal 0
+  && Array.for_all
+       (fun (base, a) ->
+         let b = Hashtbl.find state.allocations base in
+         Bytes.equal a.bytes b.bytes && a.poisoned = b.poisoned)
+       s.s_allocations
+
+let run ?(fuel = 100_000) (modul : modul) (f : func) (args : value list) : outcome =
+  let state = create ~fuel modul in
   if List.length args <> List.length f.params then ub "wrong number of arguments";
   List.iter2 (fun (_, v) a -> Hashtbl.replace state.locals v a) f.params args;
   let steps = ref 0 in
@@ -252,8 +311,19 @@ let run ?(fuel = 100_000) ?external_fn ?undef_value (modul : modul) (f : func)
   let previous = ref None in
   let result = ref None in
   let finished = ref false in
+  let entries = ref 0 and snap = ref None and hint = ref 0 in
   while not !finished do
     let b = !current in
+    if !steps >= detect_after then begin
+      (match !snap with
+      | Some s when repeats state s b !previous hint -> raise Out_of_fuel
+      | _ -> ());
+      incr entries;
+      if !entries land (!entries - 1) = 0 then begin
+        snap := Some (snapshot state b !previous);
+        hint := 0
+      end
+    end;
     (* Phis read their incoming values simultaneously. *)
     let phi_values =
       List.filter_map
@@ -377,14 +447,14 @@ let run ?(fuel = 100_000) ?external_fn ?undef_value (modul : modul) (f : func)
             match find_decl state.modul callee with Some d -> d.pure | None -> false
           in
           if not pure then state.calls <- (callee, arg_values) :: state.calls;
-          let result = state.external_fn callee arg_values ret_ty in
+          let result = default_external callee arg_values ret_ty in
           match (name, ret_ty) with
           | Some n, Types.Void -> ub "named void call %%%s" n
           | Some n, _ -> set n result
           | None, _ -> ())
         | Freeze { ty; value } -> (
           match eval_operand state ~ty value with
-          | VPoison -> set (Option.get name) (state.undef_value ty)
+          | VPoison -> set (Option.get name) (default_undef ty)
           | v -> set (Option.get name) v))
       b.instrs;
     state.fuel <- state.fuel - 1;

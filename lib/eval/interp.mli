@@ -21,15 +21,14 @@ type outcome = {
   steps : int;  (** dynamic instructions executed *)
 }
 
-val run :
-  ?fuel:int ->
-  ?external_fn:(Ast.gname -> value list -> Types.t -> value) ->
-  ?undef_value:(Types.t -> value) ->
-  Ast.modul ->
-  Ast.func ->
-  value list ->
-  outcome
-(** Execute a function on concrete arguments.
+val run : ?fuel:int -> Ast.modul -> Ast.func -> value list -> outcome
+(** Execute a function on concrete arguments (default fuel 100k steps).
+    Calls to externals return a fixed pure function of the callee and its
+    arguments, and undef reads as zero, so a run is deterministic.
     @raise Undefined_behavior on UB (division traps, memory errors, branch
     on poison, ...)
-    @raise Out_of_fuel when the step budget is exhausted. *)
+    @raise Out_of_fuel when the step budget is exhausted, or earlier, once
+    the run provably never returns: past its first 1,024 steps, a state
+    (block, predecessor, locals, memory) that repeats at a block entry
+    would repeat until the budget runs out.  A run that does return within
+    its fuel is never cut short. *)

@@ -376,7 +376,118 @@ let fuel_tests =
           [ "Value mismatch"; "Source value: 80000"; "Target value: 80001" ]);
   ]
 
+(* Validation item 10 of the paper pipeline (an -O0 lowering) and the
+   Model-Latency answer to it.  The answer never stores the loop counter
+   [%i3.addr.9], the body's update or the return slot: in the concrete
+   interpreter allocas start zeroed, so [for.cond.10] loads 0 forever and
+   every tier-1 run of the target diverges.  No sample distinguishes the
+   pair, and tier 2 (where the uninitialised slots are undef) decides it. *)
+let item10_src =
+  {|define i16 @f10(i8 %p0) {
+entry:
+  %retval = alloca i16, align 2
+  %p0.addr.1 = alloca i8, align 1
+  %v1.addr.5 = alloca i16, align 2
+  %v2.addr.8 = alloca i32, align 4
+  %i3.addr.9 = alloca i32, align 4
+  store i8 %p0, ptr %p0.addr.1, align 1
+  %t2 = sub nsw i16 -2, -2
+  %t3 = sub nsw i16 -2, -2
+  %t4 = sub nsw i16 %t2, %t3
+  store i16 %t4, ptr %v1.addr.5, align 2
+  %t6 = and i32 198, -1
+  %t7 = shl i32 %t6, 26
+  store i32 %t7, ptr %v2.addr.8, align 4
+  store i32 0, ptr %i3.addr.9, align 4
+  br label %for.cond.10
+for.cond.10:
+  %t14 = load i32, ptr %i3.addr.9, align 4
+  %cmp15 = icmp slt i32 %t14, 1
+  br i1 %cmp15, label %for.body.11, label %for.end.13
+for.body.11:
+  %t16 = load i8, ptr %p0.addr.1, align 1
+  %t17 = load i8, ptr %p0.addr.1, align 1
+  %t18 = mul nsw i8 %t16, %t17
+  %t19 = shl i8 %t18, 1
+  %t20 = ashr i8 %t19, 1
+  store i8 %t20, ptr %p0.addr.1, align 1
+  br label %for.inc.12
+for.inc.12:
+  %t21 = load i32, ptr %i3.addr.9, align 4
+  %inc22 = add nsw i32 %t21, 1
+  store i32 %inc22, ptr %i3.addr.9, align 4
+  br label %for.cond.10
+for.end.13:
+  %t23 = load i16, ptr %v1.addr.5, align 2
+  %t24 = load i16, ptr %v1.addr.5, align 2
+  %t25 = sub nsw i16 %t23, %t24
+  %t26 = mul nsw i16 %t25, 4
+  store i16 %t26, ptr %retval, align 2
+  br label %return
+dead.27:
+  br label %return
+return:
+  %rv28 = load i16, ptr %retval, align 2
+  ret i16 %rv28
+}|}
+
+let item10_tgt =
+  {|define i16 @f10(i8 %p0) {
+entry:
+  %retval = alloca i16, align 2
+  %p0.addr.1 = alloca i8, align 1
+  %v1.addr.5 = alloca i16, align 2
+  %v2.addr.8 = alloca i32, align 4
+  %i3.addr.9 = alloca i32, align 4
+  store i8 %p0, ptr %p0.addr.1, align 1
+  store i16 0, ptr %v1.addr.5, align 2
+  br label %for.cond.10
+for.cond.10:
+  %t14 = load i32, ptr %i3.addr.9, align 4
+  %cmp15 = icmp slt i32 %t14, 1
+  br i1 %cmp15, label %for.body.11, label %for.end.13
+for.body.11:
+  %t16 = load i8, ptr %p0.addr.1, align 1
+  %t17 = load i8, ptr %p0.addr.1, align 1
+  %t18 = mul nsw i8 %t16, %t17
+  %t19 = shl nsw i8 %t18, 1
+  %t20 = ashr i8 %t19, 1
+  br label %for.inc.12
+for.inc.12:
+  %t21 = load i32, ptr %i3.addr.9, align 4
+  %inc22 = add nsw i32 %t21, 1
+  br label %for.cond.10
+for.end.13:
+  %t23 = load i16, ptr %v1.addr.5, align 2
+  %t24 = load i16, ptr %v1.addr.5, align 2
+  %t25 = sub nsw i16 %t23, %t24
+  %t26 = shl nsw i16 %t25, 2
+  br label %return
+dead.27:
+  br label %return
+return:
+  %rv28 = load i16, ptr %retval, align 2
+  ret i16 %rv28
+}|}
+
+let divergence_tests =
+  [
+    Alcotest.test_case "a target that never stores its loop counter: tier 2 decides" `Quick
+      (fun () ->
+        let m = Parser.parse_module item10_src in
+        let src = List.hd m.Ast.funcs in
+        let tgt = parse item10_tgt in
+        let e = Engine.create () in
+        let v = Engine.verify_funcs e m ~src ~tgt in
+        Alcotest.check category "semantic error" A.Semantic_error v.A.category;
+        Alcotest.(check bool) "a value mismatch" true (contains v.A.message "Value mismatch");
+        let st = Engine.stats e in
+        Alcotest.(check int) "tier 1 found no distinguishing input" 0 st.Vcache.tier1_hits;
+        Alcotest.(check int) "tier 1 ran its battery" 1 st.Vcache.tier1_misses;
+        Alcotest.(check int) "decided by tier 2" 1 st.Vcache.tier2_runs);
+  ]
+
 let suite =
   ( "engine",
     cached_matches_fresh_tests @ tier1_tests @ cache_tests @ par_tests @ satellite_tests
-    @ incremental_tests @ breaker_tests @ report_tests @ fuel_tests )
+    @ incremental_tests @ breaker_tests @ report_tests @ fuel_tests @ divergence_tests )

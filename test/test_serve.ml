@@ -14,6 +14,7 @@ module Engine = Veriopt_alive.Engine
 module Serve = Veriopt_serve.Serve
 module Workload = Veriopt_serve.Workload
 module Fault = Veriopt_fault.Fault
+module Vproc = Veriopt_vproc.Vproc
 
 let parse_pair src_text tgt_text =
   let m = Parser.parse_module src_text in
@@ -320,4 +321,62 @@ let chaos_tests =
           (rs.Store.entries > 0));
   ]
 
-let suite = ("serve", serve_tests @ chaos_tests)
+(* A process that is gone, or a zombie waiting for whoever adopted it to
+   reap it: either way it runs nothing. *)
+let running pid =
+  match In_channel.with_open_text (Printf.sprintf "/proc/%d/stat" pid) In_channel.input_all with
+  | stat -> (
+    match String.rindex_opt stat ')' with
+    | Some i when i + 2 < String.length stat -> not (List.mem stat.[i + 2] [ 'Z'; 'X' ])
+    | _ -> false)
+  | exception Sys_error _ -> (
+    match Unix.kill pid 0 with () -> true | exception Unix.Unix_error _ -> false)
+
+let orphan_tests =
+  [
+    Alcotest.test_case "a pool creator that dies takes its wedged worker and supervisor"
+      `Quick (fun () ->
+        let r, w = Unix.pipe () in
+        match Unix.fork () with
+        | 0 ->
+          (* the throwaway creator: a one-slot pool whose worker reports its
+             own and its supervisor's pid, then spins where it never reads
+             its pipe again; the creator exits without shutting down *)
+          Unix.close r;
+          let cr, cw = Unix.pipe () in
+          let handler () =
+            let line = Printf.sprintf "%d %d\n" (Unix.getpid ()) (Unix.getppid ()) in
+            ignore (Unix.write_substring cw line 0 (String.length line));
+            while true do
+              ignore (Sys.opaque_identity 0)
+            done
+          in
+          let pool = Vproc.create ~jobs:1 ~handler () in
+          (* only the pool's processes hold [cw] now: a pool that never
+             came up reads as EOF below, not as a hang *)
+          Unix.close cw;
+          let kill_at = Unix.gettimeofday () +. 60. in
+          ignore (Thread.create (fun () -> Vproc.call ~kill_at pool ()) ());
+          let buf = Bytes.create 64 in
+          let n = Unix.read cr buf 0 64 in
+          ignore (Unix.write w buf 0 n);
+          Unix._exit 0
+        | creator ->
+          Unix.close w;
+          let ic = Unix.in_channel_of_descr r in
+          let line = Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> input_line ic) in
+          ignore (Unix.waitpid [] creator);
+          let pids = List.map int_of_string (String.split_on_char ' ' line) in
+          Alcotest.(check int) "worker and supervisor reported" 2 (List.length pids);
+          let t0 = Unix.gettimeofday () in
+          while List.exists running pids && Unix.gettimeofday () -. t0 < 5. do
+            Unix.sleepf 0.02
+          done;
+          let survivors = List.filter running pids in
+          List.iter
+            (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+            survivors;
+          Alcotest.(check (list int)) "nothing outlives the pool's creator" [] survivors);
+  ]
+
+let suite = ("serve", serve_tests @ chaos_tests @ orphan_tests)
