@@ -1,4 +1,4 @@
-.PHONY: all build test bench micro verify-bench chaos-bench sat-bench proc-bench incr-bench portfolio-bench serve-bench store-bench adv-bench fold-bench fuzz check clean
+.PHONY: all build test bench micro verify-bench chaos-bench proc-bench portfolio-bench serve-bench store-bench adv-bench fold-bench fuzz check clean
 
 all: build
 
@@ -26,12 +26,6 @@ verify-bench: build
 chaos-bench: build
 	dune exec bench/main.exe -- robust-bench
 
-# Clause-DB reduction on SMT-hostile queries: reduction off vs on, same
-# conflict budget.  Writes machine-readable BENCH_sat.json; exits non-zero
-# if the knob flips a conclusive verdict.
-sat-bench: build
-	dune exec bench/main.exe -- sat-bench
-
 # The fork-based isolation backend (--isolate proc): hostile-query kill
 # latency under 100% worker_hang injection (SIGKILL at the hard deadline,
 # supervisor respawn), then verdict agreement against the in-process
@@ -39,15 +33,6 @@ sat-bench: build
 # conclusive-verdict flip or a hostile call that escaped degradation.
 proc-bench: build
 	dune exec bench/main.exe -- proc-bench
-
-# Incremental solver sessions + iterative-deepening unroll: one session
-# walking the depth schedule (learned clauses, activities and the
-# bit-blast memo retained) vs a fresh solve per depth vs one single-shot
-# solve at the full bound, plus the same sweep through the forked proc
-# backend.  Writes machine-readable BENCH_incr.json; exits non-zero if any
-# leg flips a conclusive verdict.
-incr-bench: build
-	dune exec bench/main.exe -- incr-bench
 
 # Diversified SAT portfolio + cube-and-conquer racing across the fork
 # pool: four configs per hostile query, first conclusive verdict wins,
@@ -106,7 +91,6 @@ check: build
 	VERIOPT_FUZZ_N=20000 dune exec test/test_main.exe -- test sat-fuzz
 	dune exec bench/main.exe -- robust-bench
 	dune exec bench/main.exe -- proc-bench
-	dune exec bench/main.exe -- incr-bench
 	dune exec bench/main.exe -- portfolio-bench
 	dune exec bench/main.exe -- store-bench
 	dune exec bench/main.exe -- fold-bench

@@ -8,8 +8,8 @@
      dune exec bench/main.exe -- --full all   -- paper-sized counts (slow)
 
    Experiments: dataset table1 table2 table3 fig4 fig5 fig6 fig7 figs8to12
-   ablations discussion verify-bench robust-bench sat-bench proc-bench
-   incr-bench portfolio-bench store-bench fold-bench micro all. *)
+   ablations discussion verify-bench robust-bench proc-bench
+   portfolio-bench store-bench fold-bench micro all. *)
 
 module P = Veriopt.Pipeline
 module E = Veriopt.Evaluate
@@ -587,125 +587,6 @@ let run_robust_bench () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* sat-bench: the clause-DB reduction knob on SMT-hostile queries.
-
-   Bit-blasted mul reassociation is the chaos bench's canonical hostile
-   shape: algebraically trivial, brutal for CDCL.  Each width is verified
-   twice — reduction off (the seed solver's behavior) and on — with the
-   same conflict budget.  Reports wall time, conflicts/sec and clause-DB
-   statistics per leg, checks that no conclusive verdict flips (reduction
-   trades search trajectory, never soundness), and emits BENCH_sat.json. *)
-
-let run_sat_bench () =
-  header "SAT-BENCH (clause-DB reduction on SMT-hostile queries)";
-  let module Solver = Veriopt_smt.Solver in
-  let hostile_pair w =
-    let m, src, tgt = Veriopt_serve.Workload.assoc_pair w in
-    (w, m, src, tgt)
-  in
-  let widths = [ 9; 10; 11 ] in
-  let pairs = List.map hostile_pair widths in
-  let max_conflicts = 10_000 in
-  let run_leg ~reduce =
-    Solver.reset_stats ();
-    let t0 = Unix.gettimeofday () in
-    let verdicts =
-      List.map
-        (fun (w, m, src, tgt) ->
-          let t1 = Unix.gettimeofday () in
-          let v = Alive.verify_funcs ~unroll:4 ~max_conflicts ~reduce m ~src ~tgt in
-          (w, v.Alive.category, Unix.gettimeofday () -. t1))
-        pairs
-    in
-    let secs = Unix.gettimeofday () -. t0 in
-    (verdicts, secs, Solver.stats ())
-  in
-  let off_verdicts, off_secs, off_sat = run_leg ~reduce:false in
-  let on_verdicts, on_secs, on_sat = run_leg ~reduce:true in
-  let cat_name = function
-    | Alive.Equivalent -> "equivalent"
-    | Alive.Semantic_error -> "semantic_error"
-    | Alive.Syntax_error -> "syntax_error"
-    | Alive.Inconclusive -> "inconclusive"
-  in
-  let conclusive = function Alive.Inconclusive -> false | _ -> true in
-  (* Unknown <-> conclusive changes are legitimate trajectory effects of the
-     knob under a fixed budget; a conclusive verdict flipping is a bug. *)
-  let flips =
-    List.fold_left2
-      (fun n (w, a, _) (_, b, _) ->
-        if conclusive a && conclusive b && a <> b then begin
-          Fmt.pf fmt "  ERROR: width %d verdict flipped: %s (off) vs %s (on)@." w (cat_name a)
-            (cat_name b);
-          n + 1
-        end
-        else n)
-      0 off_verdicts on_verdicts
-  in
-  let cps secs (sat : Solver.stats) =
-    float_of_int sat.Solver.conflicts /. if secs <= 0. then epsilon_float else secs
-  in
-  let leg_line name secs (sat : Solver.stats) =
-    Fmt.pf fmt
-      "  %-14s %6.2fs  %8d conflicts (%8.0f/s)  learned %7d, deleted %7d in %d reductions, peak DB %d@."
-      name secs sat.Solver.conflicts (cps secs sat) sat.Solver.learned sat.Solver.deleted
-      sat.Solver.reductions sat.Solver.db_peak
-  in
-  Fmt.pf fmt "  queries: bit-blasted mul reassociation at widths %a, %d-conflict budget@."
-    Fmt.(list ~sep:comma int)
-    widths max_conflicts;
-  leg_line "reduction off" off_secs off_sat;
-  leg_line "reduction on" on_secs on_sat;
-  List.iter2
-    (fun (w, a, ta) (_, b, tb) ->
-      Fmt.pf fmt "  i%-3d  off: %-12s %7.2fs    on: %-12s %7.2fs@." w (cat_name a) ta (cat_name b)
-        tb)
-    off_verdicts on_verdicts;
-  let speedup = off_secs /. (if on_secs <= 0. then epsilon_float else on_secs) in
-  let saved = 100. *. (1. -. (on_secs /. if off_secs <= 0. then epsilon_float else off_secs)) in
-  Fmt.pf fmt "  wall time: %.2fs -> %.2fs (%.2fx, %.1f%% saved); conclusive flips: %d@." off_secs
-    on_secs speedup saved flips;
-  let leg_json (verdicts : (int * Alive.category * float) list) secs (sat : Solver.stats) =
-    let per_query =
-      String.concat ", "
-        (List.map
-           (fun (w, c, t) -> Fmt.str {|{ "width": %d, "verdict": "%s", "seconds": %.4f }|} w
-              (cat_name c) t)
-           verdicts)
-    in
-    Fmt.str
-      {|{ "seconds": %.4f, "conflicts": %d, "conflicts_per_sec": %.0f, "learned": %d, "deleted": %d, "reductions": %d, "db_peak": %d, "queries": [ %s ] }|}
-      secs sat.Solver.conflicts (cps secs sat) sat.Solver.learned sat.Solver.deleted
-      sat.Solver.reductions sat.Solver.db_peak per_query
-  in
-  let json =
-    Fmt.str
-      {|{
-  "widths": [ %a ],
-  "max_conflicts": %d,
-  "reduction_off": %s,
-  "reduction_on": %s,
-  "speedup": %.3f,
-  "wall_time_saved_pct": %.2f,
-  "conclusive_flips": %d
-}
-|}
-      Fmt.(list ~sep:comma int)
-      widths max_conflicts
-      (leg_json off_verdicts off_secs off_sat)
-      (leg_json on_verdicts on_secs on_sat)
-      speedup saved flips
-  in
-  let oc = open_out "BENCH_sat.json" in
-  output_string oc json;
-  close_out oc;
-  Fmt.pf fmt "  wrote BENCH_sat.json@.";
-  if flips > 0 then begin
-    Fmt.pf fmt "  ERROR: clause-DB reduction flipped a conclusive verdict@.";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
 (* proc-bench: the fork-based isolation backend (--isolate proc).
 
    Phase 1 (kill latency): one worker slot, 100% worker_hang injection, a
@@ -866,231 +747,6 @@ let run_proc_bench () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* incr-bench: incremental solver sessions + iterative-deepening unroll.
-
-   The workload is loops with DATA-DEPENDENT exits: the iteration count is
-   an input, so every unroll depth admits real terminating executions and
-   proving depth d means re-establishing every frame k < d of a
-   reassociated mul chain.  That is the shape where deepening has
-   something to reuse — a counting loop with a fixed bound is vacuous at
-   shallow depths (the exit is unreachable, the query propagates to Unsat
-   with no search), so all its proof work lands once at the final depth
-   in every leg.  Each
-   pair is verified three ways under the same conflict budget:
-
-   - incremental: one solver session walks the 1 -> 2 -> 4 schedule,
-     retaining learned clauses, activities and the bit-blast memo;
-   - fresh-per-depth: the same schedule, but every depth is a fresh
-     single-shot solve — what deepening costs without the session;
-   - single-shot: one solve at the full bound, the agreement baseline.
-
-   A fourth leg replays the incremental schedule through the forked proc
-   backend (skipped gracefully when fork is refused).  Conclusive verdicts
-   must agree across all legs; wall time and conflicts per leg, the
-   session counters and the incremental-vs-fresh speedup land in
-   BENCH_incr.json.  Like proc-bench, this leg runs before anything spawns
-   a domain so the proc comparison can fork. *)
-
-let run_incr_bench () =
-  header "INCR-BENCH (incremental sessions + iterative-deepening unroll)";
-  let module Solver = Veriopt_smt.Solver in
-  let module Engine = Veriopt_alive.Engine in
-  let module Vproc = Veriopt_vproc.Vproc in
-  let unroll = 4 in
-  let max_conflicts = 200_000 in
-  let schedule = Alive.unroll_schedule unroll in
-  (* fork the proc pool first, while the process is still domain-free *)
-  let proc_engine =
-    if not (Vproc.available ()) then None
-    else begin
-      Unix.putenv "VERIOPT_PROC_JOBS" "1";
-      let e = Engine.create ~tier1_samples:0 ~isolate:Engine.Proc () in
-      Unix.putenv "VERIOPT_PROC_JOBS" "";
-      if Engine.isolate e = Engine.Proc then Some e else None
-    end
-  in
-  (* %z iterations of s <- s*y*v + k, returning the accumulator: the exit
-     is data-dependent, so depth d's proof covers z in {0..d-1} and must
-     re-prove the mul reassociation for every frame below d. *)
-  let chain_pair = Veriopt_serve.Workload.assoc_chain_pair in
-  let count_pair bound ret =
-    let src =
-      Fmt.str
-        "define i32 @f(i32 %%n) {\nentry:\n  br label %%h\nh:\n  %%i = phi i32 [ 0, %%entry ], \
-         [ %%i2, %%b ]\n  %%c = icmp slt i32 %%i, %d\n  br i1 %%c, label %%b, label %%x\nb:\n  \
-         %%i2 = add i32 %%i, 1\n  br label %%h\nx:\n  ret i32 %%i\n}"
-        bound
-    in
-    let tgt = Fmt.str "define i32 @f(i32 %%n) {\nentry:\n  ret i32 %d\n}" ret in
-    let m = Veriopt_ir.Parser.parse_module src in
-    ( m,
-      List.hd m.Veriopt_ir.Ast.funcs,
-      List.hd (Veriopt_ir.Parser.parse_module tgt).Veriopt_ir.Ast.funcs )
-  in
-  let pairs =
-    [
-      ("mul-chain-i5", chain_pair 5);
-      ("mul-chain-i5-k11", chain_pair ~src_k:11 ~tgt_k:11 5);
-      ("mul-chain-i5-k13", chain_pair ~src_k:13 ~tgt_k:13 5);
-      ("mul-chain-i5-wrong", chain_pair ~src_k:3 ~tgt_k:4 5);
-      ("count-3", count_pair 3 3);
-      ("count-3-wrong", count_pair 3 4);
-      ("count-100", count_pair 100 100);
-    ]
-  in
-  let cat_name = function
-    | Alive.Equivalent -> "equivalent"
-    | Alive.Semantic_error -> "semantic_error"
-    | Alive.Syntax_error -> "syntax_error"
-    | Alive.Inconclusive -> "inconclusive"
-  in
-  let conclusive = function Alive.Inconclusive -> false | _ -> true in
-  let run_leg f =
-    Solver.reset_stats ();
-    let t0 = Unix.gettimeofday () in
-    let verdicts =
-      List.map
-        (fun (name, (m, src, tgt)) ->
-          let t1 = Unix.gettimeofday () in
-          let c = f m src tgt in
-          (name, c, Unix.gettimeofday () -. t1))
-        pairs
-    in
-    (verdicts, Unix.gettimeofday () -. t0, Solver.stats ())
-  in
-  let incr_verdicts, incr_secs, incr_sat =
-    run_leg (fun m src tgt ->
-        (Alive.verify_funcs ~unroll ~max_conflicts ~incremental:true m ~src ~tgt).Alive.category)
-  in
-  let fresh_verdicts, fresh_secs, fresh_sat =
-    run_leg (fun m src tgt ->
-        (* the deepening policy without the session: a fresh full solve at
-           every depth, stopping exactly where the incremental loop stops *)
-        let rec go = function
-          | [] -> assert false
-          | d :: rest ->
-            let v = Alive.verify_funcs ~unroll:d ~max_conflicts ~incremental:false m ~src ~tgt in
-            if
-              rest = []
-              || v.Alive.category = Alive.Semantic_error
-              || v.Alive.category = Alive.Inconclusive
-            then v.Alive.category
-            else go rest
-        in
-        go schedule)
-  in
-  let single_verdicts, single_secs, single_sat =
-    run_leg (fun m src tgt ->
-        (Alive.verify_funcs ~unroll ~max_conflicts ~incremental:false m ~src ~tgt).Alive.category)
-  in
-  let count_flips name a b =
-    List.fold_left2
-      (fun n (pair, ca, _) (_, cb, _) ->
-        if conclusive ca && conclusive cb && ca <> cb then begin
-          Fmt.pf fmt "  ERROR: %s flip on %s: %s vs %s@." name pair (cat_name ca) (cat_name cb);
-          n + 1
-        end
-        else n)
-      0 a b
-  in
-  let flips_single = count_flips "incremental-vs-single-shot" incr_verdicts single_verdicts in
-  let flips_fresh = count_flips "incremental-vs-fresh-per-depth" incr_verdicts fresh_verdicts in
-  let proc =
-    match proc_engine with
-    | None ->
-      Fmt.pf fmt "  proc leg: fork unavailable or refused; skipping@.";
-      None
-    | Some e ->
-      let verdicts, secs, _ =
-        run_leg (fun m src tgt ->
-            (Engine.verify_funcs ~unroll ~max_conflicts ~incremental:true e m ~src ~tgt)
-              .Alive.category)
-      in
-      Some (verdicts, secs, count_flips "proc-vs-single-shot" verdicts single_verdicts)
-  in
-  let leg_line name secs (sat : Solver.stats) =
-    Fmt.pf fmt "  %-16s %6.2fs  %8d conflicts, %6d restarts, %d sessions (%d reused checks)@."
-      name secs sat.Solver.conflicts sat.Solver.restarts sat.Solver.sessions
-      sat.Solver.session_reuse
-  in
-  Fmt.pf fmt "  %d loop pairs, unroll schedule %a, %d-conflict budget@." (List.length pairs)
-    Fmt.(list ~sep:(any " -> ") int)
-    schedule max_conflicts;
-  leg_line "incremental" incr_secs incr_sat;
-  leg_line "fresh-per-depth" fresh_secs fresh_sat;
-  leg_line "single-shot" single_secs single_sat;
-  (match proc with
-  | Some (_, secs, _) -> Fmt.pf fmt "  %-16s %6.2fs  (worker-side counters)@." "proc" secs
-  | None -> ());
-  List.iter2
-    (fun (name, a, ta) (_, b, tb) ->
-      Fmt.pf fmt "  %-14s incr: %-13s %6.2fs    fresh: %-13s %6.2fs@." name (cat_name a) ta
-        (cat_name b) tb)
-    incr_verdicts fresh_verdicts;
-  let speedup = fresh_secs /. if incr_secs <= 0. then epsilon_float else incr_secs in
-  let flips = flips_single + flips_fresh + match proc with Some (_, _, f) -> f | None -> 0 in
-  Fmt.pf fmt "  deepening wall time: %.2fs fresh -> %.2fs incremental (%.2fx); flips: %d@."
-    fresh_secs incr_secs speedup flips;
-  let leg_json verdicts secs (sat : Solver.stats) =
-    let per_query =
-      String.concat ", "
-        (List.map
-           (fun (name, c, t) ->
-             Fmt.str {|{ "pair": "%s", "verdict": "%s", "seconds": %.4f }|} name (cat_name c) t)
-           verdicts)
-    in
-    Fmt.str
-      {|{ "seconds": %.4f, "conflicts": %d, "restarts": %d, "sessions": %d, "session_reuse": %d, "queries": [ %s ] }|}
-      secs sat.Solver.conflicts sat.Solver.restarts sat.Solver.sessions sat.Solver.session_reuse
-      per_query
-  in
-  let proc_json =
-    match proc with
-    | None -> {|{ "skipped": true }|}
-    | Some (verdicts, secs, f) ->
-      let per_query =
-        String.concat ", "
-          (List.map
-             (fun (name, c, t) ->
-               Fmt.str {|{ "pair": "%s", "verdict": "%s", "seconds": %.4f }|} name (cat_name c) t)
-             verdicts)
-      in
-      Fmt.str {|{ "seconds": %.4f, "flips": %d, "queries": [ %s ] }|} secs f per_query
-  in
-  let json =
-    Fmt.str
-      {|{
-  "unroll": %d,
-  "schedule": [ %a ],
-  "max_conflicts": %d,
-  "incremental": %s,
-  "fresh_per_depth": %s,
-  "single_shot": %s,
-  "proc": %s,
-  "speedup_vs_fresh": %.3f,
-  "conclusive_flips": %d
-}
-|}
-      unroll
-      Fmt.(list ~sep:comma int)
-      schedule max_conflicts
-      (leg_json incr_verdicts incr_secs incr_sat)
-      (leg_json fresh_verdicts fresh_secs fresh_sat)
-      (leg_json single_verdicts single_secs single_sat)
-      proc_json speedup flips
-  in
-  let oc = open_out "BENCH_incr.json" in
-  output_string oc json;
-  close_out oc;
-  Fmt.pf fmt "  wrote BENCH_incr.json@.";
-  if speedup < 1.3 then
-    Fmt.pf fmt "  WARNING: incremental speedup %.2fx below the 1.3x target@." speedup;
-  if flips > 0 then begin
-    Fmt.pf fmt "  ERROR: the incremental schedule flipped a conclusive verdict@.";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
 (* portfolio-bench: diversified SAT portfolio + cube-and-conquer racing.
 
    The workload is the SMT-hostile shape of this codebase: mul
@@ -1137,8 +793,8 @@ let run_portfolio_bench () =
     end
   in
   let mul_pair = Veriopt_serve.Workload.assoc_pair in
-  (* the incr-bench chain shape: %z iterations of s <- s*y*v + 3, with the
-     product reassociated between source and target *)
+  (* the data-dependent-exit loop: %z iterations of s <- s*y*v + 3, with
+     the product reassociated between source and target *)
   let chain_pair = Veriopt_serve.Workload.assoc_chain_pair in
   (* the i6 chain is the heavyweight (~2.5 minutes single-solver on a
      2-core box) and the pair where racing pays; the flat pairs finish in
@@ -1702,18 +1358,17 @@ let () =
      and must not pay for (or pollute) the full training pipeline *)
   let standalone =
     [
-      "micro"; "verify-bench"; "robust-bench"; "sat-bench"; "proc-bench"; "incr-bench";
-      "portfolio-bench"; "store-bench"; "fold-bench";
+      "micro"; "verify-bench"; "robust-bench"; "proc-bench"; "portfolio-bench"; "store-bench";
+      "fold-bench";
     ]
   in
   let needs_evals =
     List.mem "all" experiments
     || List.exists (fun x -> not (List.mem x standalone)) experiments
   in
-  (* proc-bench and incr-bench first: they fork worker pools, which OCaml 5
-     only permits before any other leg has spawned a domain *)
+  (* proc-bench and portfolio-bench first: they fork worker pools, which
+     OCaml 5 only permits before any other leg has spawned a domain *)
   if wants "proc-bench" then run_proc_bench ();
-  if wants "incr-bench" then run_incr_bench ();
   if wants "portfolio-bench" then run_portfolio_bench ();
   if wants "store-bench" then run_store_bench ();
   if wants "fold-bench" then run_fold_bench ();
@@ -1734,6 +1389,5 @@ let () =
   end;
   if wants "verify-bench" then run_verify_bench ();
   if wants "robust-bench" then run_robust_bench ();
-  if wants "sat-bench" then run_sat_bench ();
   if wants "micro" then run_micro ();
   Fmt.pf fmt "@.done.@."

@@ -43,21 +43,6 @@ let verify_cmd =
       & info [ "unroll" ] ~docv:"BOUND"
           ~doc:"Loop unroll bound for bounded equivalence checking of cyclic pairs")
   in
-  let no_incremental =
-    Arg.(
-      value & flag
-      & info [ "no-incremental" ]
-          ~doc:"Disable the incremental solver session / iterative-deepening unroll for \
-                loop-bearing pairs (solve each pair once at the full bound; also \
-                selectable via VERIOPT_INCR=0)")
-  in
-  let no_reduce =
-    Arg.(
-      value & flag
-      & info [ "no-reduce" ]
-          ~doc:"Disable learned-clause-DB reduction in the SAT core (affects solver speed, \
-                never verdicts)")
-  in
   let sat_stats =
     Arg.(
       value & flag
@@ -111,8 +96,7 @@ let verify_cmd =
              without re-verifying, fresh cacheable verdicts are appended for later runs.  \
              Also selectable via VERIOPT_STORE")
   in
-  let run file unroll no_incremental no_reduce sat_stats isolate timeout portfolio sat_seed
-      store =
+  let run file unroll sat_stats isolate timeout portfolio sat_seed store =
     let m = load_module file in
     match m.Veriopt_ir.Ast.funcs with
     | [ src; tgt ] | src :: tgt :: _ ->
@@ -121,7 +105,6 @@ let verify_cmd =
       let module Portfolio = Veriopt_smt.Portfolio in
       Solver.reset_stats ();
       let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout in
-      let incremental = not no_incremental && Alive.incremental_default () in
       let sat = { Sat.default_config with Sat.seed = sat_seed } in
       (* the env form must also route through the engine, or the default
          in-process path would silently bypass the store *)
@@ -151,21 +134,18 @@ let verify_cmd =
           (* tier 1 off: every verdict here comes from the racing SMT path *)
           with_engine (Veriopt_alive.Engine.create ~tier1_samples:0 ~portfolio ?store ())
             (fun e ->
-              Veriopt_alive.Engine.verify_funcs ~unroll ?deadline ~reduce:(not no_reduce)
-                ~incremental ~sat e m ~src ~tgt)
+              Veriopt_alive.Engine.verify_funcs ~unroll ?deadline ~sat e m ~src ~tgt)
         else
           match (isolate, store) with
           | Veriopt_alive.Engine.Domains, None ->
-            Alive.verify_funcs ~unroll ?deadline ~reduce:(not no_reduce) ~incremental ~sat m
-              ~src ~tgt
+            Alive.verify_funcs ~unroll ?deadline ~sat m ~src ~tgt
           | iso, store ->
             (* tier 1 off so the verdict comes from the same SMT path as the
                direct call above, just behind the process boundary (and/or
                through the mounted verdict store) *)
             with_engine (Veriopt_alive.Engine.create ~tier1_samples:0 ~isolate:iso ?store ())
               (fun e ->
-                Veriopt_alive.Engine.verify_funcs ~unroll ?deadline ~reduce:(not no_reduce)
-                  ~incremental ~sat e m ~src ~tgt)
+                Veriopt_alive.Engine.verify_funcs ~unroll ?deadline ~sat e m ~src ~tgt)
       in
       Fmt.pr "%s@.%s@." (category_string v.Alive.category) v.Alive.message;
       if sat_stats && portfolio > 1 then begin
@@ -209,8 +189,7 @@ let verify_cmd =
   Cmd.v
     (Cmd.info "verify" ~doc:"Check that the second function of FILE.ll refines the first")
     Term.(
-      const run $ file $ unroll $ no_incremental $ no_reduce $ sat_stats $ isolate $ timeout
-      $ portfolio $ sat_seed $ store)
+      const run $ file $ unroll $ sat_stats $ isolate $ timeout $ portfolio $ sat_seed $ store)
 
 let opt_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.ll") in

@@ -122,14 +122,6 @@ let concrete_check (model : Solver.model) (m : Ast.modul) (src : Ast.func) (tgt 
 
 (* ------------------------------------------------------------------ *)
 
-(* Incremental iterative deepening is the default for loop-bearing pairs;
-   VERIOPT_INCR=0 (or an explicit [?incremental:false]) restores the
-   single-shot encode-at-the-full-bound path. *)
-let incremental_default () =
-  match Sys.getenv_opt "VERIOPT_INCR" with
-  | Some ("0" | "false" | "off" | "no") -> false
-  | _ -> true
-
 (* Doubling depth schedule, always ending exactly at [bound]:
    4 -> [1; 2; 4], 3 -> [1; 2; 3], 6 -> [1; 2; 4; 6], 1 -> [1]. *)
 let unroll_schedule bound =
@@ -148,104 +140,106 @@ let counterexample_verdict ~bounded ~copy (model : Solver.model) m src tgt s_sum
     verdict ~bounded ~copy Inconclusive
       (Diagnostics.inconclusive_message "solver counterexample failed concrete validation")
 
+let signature_verdict =
+  verdict Syntax_error
+    (Diagnostics.syntax_error_message "function signature does not match the source")
+
+(* Both sides at one unroll bound, source first. *)
+let encode_pair ~unroll m ~src ~tgt =
+  let s_sum = Encode.encode ~unroll_bound:unroll ~side:"src" m src in
+  let t_sum = Encode.encode ~unroll_bound:unroll ~side:"tgt" m tgt in
+  (s_sum, t_sum)
+
+(* Single-shot: encode both sides at the full bound, one fresh solve. *)
+let solve_single_shot ~unroll ~max_conflicts ?deadline ?sat ~bounded ~copy m ~src ~tgt =
+  match encode_pair ~unroll m ~src ~tgt with
+  | exception Encode.Unsupported reason ->
+    verdict ~bounded ~copy Inconclusive (Diagnostics.inconclusive_message reason)
+  | s_sum, t_sum -> (
+    match Refine.check ~max_conflicts ?deadline ?sat s_sum t_sum with
+    | exception Encode.Unsupported reason ->
+      verdict ~bounded ~copy Inconclusive (Diagnostics.inconclusive_message reason)
+    | Refine.Refines -> verdict ~bounded ~copy Equivalent (Diagnostics.equivalent_message ~bounded)
+    | Refine.Unknown ->
+      verdict ~bounded ~copy Inconclusive
+        (Diagnostics.inconclusive_message "solver resource limit reached")
+    | Refine.Counterexample model ->
+      counterexample_verdict ~bounded ~copy model m src tgt s_sum t_sum)
+
+(* Iterative deepening over one incremental session.  Verdict policy,
+   chosen so the schedule can never flip a single-shot verdict:
+   - a counterexample at any depth is a terminating execution that also
+     exists at every deeper bound, so it is final (and still concretely
+     re-validated before "semantic error");
+   - Unsat at a non-final depth proves nothing about deeper bounds: retract
+     the depth's guard and deepen — only the final bound's Unsat is
+     "equivalent";
+   - Unknown (budget or deadline) anywhere ends the schedule as
+     inconclusive, exactly like the single-shot path;
+   - Unsupported at a non-final depth is skipped (a pair can be
+     positionally matchable at the full bound but not at a shallow one);
+     the final depth's answer is authoritative.
+   The conflict budget is shared by the whole schedule: each check gets
+   what the earlier depths left over. *)
+let solve_deepening ~unroll ~max_conflicts ?deadline ?sat ~bounded ~copy m ~src ~tgt =
+  let sess = Refine.session_create ?sat () in
+  Fun.protect ~finally:(fun () -> Refine.session_release sess) @@ fun () ->
+  let rec deepen = function
+    | [] -> assert false
+    | depth :: rest -> (
+      let final = rest = [] in
+      let skip_or_fail reason =
+        if final then verdict ~bounded ~copy Inconclusive (Diagnostics.inconclusive_message reason)
+        else deepen rest
+      in
+      match encode_pair ~unroll:depth m ~src ~tgt with
+      | exception Encode.Unsupported reason -> skip_or_fail reason
+      | s_sum, t_sum -> (
+        let remaining = max_conflicts - Refine.session_conflicts sess in
+        if remaining <= 0 then
+          verdict ~bounded ~copy Inconclusive
+            (Diagnostics.inconclusive_message "solver resource limit reached")
+        else
+          match
+            Refine.check_incremental ~max_conflicts:remaining ?deadline sess ~depth s_sum t_sum
+          with
+          | exception Encode.Unsupported reason -> skip_or_fail reason
+          | Refine.Refines ->
+            if final then
+              verdict ~bounded ~copy Equivalent (Diagnostics.equivalent_message ~bounded)
+            else begin
+              Refine.retract sess ~depth;
+              deepen rest
+            end
+          | Refine.Unknown ->
+            verdict ~bounded ~copy Inconclusive
+              (Diagnostics.inconclusive_message "solver resource limit reached")
+          | Refine.Counterexample model ->
+            counterexample_verdict ~bounded ~copy model m src tgt s_sum t_sum))
+  in
+  deepen (unroll_schedule unroll)
+
+let verify_pair ~deepen ~unroll ~max_conflicts ?deadline ?sat (m : Ast.modul) ~(src : Ast.func)
+    ~(tgt : Ast.func) : verdict =
+  if not (signature_matches src tgt) then signature_verdict
+  else
+    let copy = Builder.alpha_equal src tgt in
+    let bounded = Cfg.has_loop (Cfg.of_func src) || Cfg.has_loop (Cfg.of_func tgt) in
+    (* acyclic pairs always solve once: unrolling is the identity on them,
+       so a depth schedule would re-solve the same query *)
+    if deepen && bounded && unroll > 1 then
+      solve_deepening ~unroll ~max_conflicts ?deadline ?sat ~bounded ~copy m ~src ~tgt
+    else solve_single_shot ~unroll ~max_conflicts ?deadline ?sat ~bounded ~copy m ~src ~tgt
+
 (** Verify that [tgt] refines [src] within [m].  Both functions must already
     be well-formed (callers should route model-produced text through
     {!verify_text}). *)
-let verify_funcs ?(unroll = 4) ?(max_conflicts = 200_000) ?deadline ?reduce ?incremental ?sat
-    (m : Ast.modul) ~(src : Ast.func) ~(tgt : Ast.func) : verdict =
-  let copy = Builder.alpha_equal src tgt in
-  if not (signature_matches src tgt) then
-    verdict Syntax_error
-      (Diagnostics.syntax_error_message "function signature does not match the source")
-  else
-    let bounded =
-      Cfg.has_loop (Cfg.of_func src) || Cfg.has_loop (Cfg.of_func tgt)
-    in
-    let incremental =
-      match incremental with Some b -> b | None -> incremental_default ()
-    in
-    if not (bounded && incremental && unroll > 1) then begin
-      (* Single-shot: encode both sides at the full bound, one fresh solve.
-         Acyclic pairs always come here — unrolling is the identity on them,
-         so a depth schedule would re-solve the same query. *)
-      match
-        let s_sum = Encode.encode ~unroll_bound:unroll ~side:"src" m src in
-        let t_sum = Encode.encode ~unroll_bound:unroll ~side:"tgt" m tgt in
-        (s_sum, t_sum)
-      with
-      | exception Encode.Unsupported reason ->
-        verdict ~bounded ~copy Inconclusive (Diagnostics.inconclusive_message reason)
-      | s_sum, t_sum -> (
-        match Refine.check ~max_conflicts ?deadline ?reduce ?sat s_sum t_sum with
-        | exception Encode.Unsupported reason ->
-          verdict ~bounded ~copy Inconclusive (Diagnostics.inconclusive_message reason)
-        | Refine.Refines ->
-          verdict ~bounded ~copy Equivalent (Diagnostics.equivalent_message ~bounded)
-        | Refine.Unknown ->
-          verdict ~bounded ~copy Inconclusive
-            (Diagnostics.inconclusive_message "solver resource limit reached")
-        | Refine.Counterexample model ->
-          counterexample_verdict ~bounded ~copy model m src tgt s_sum t_sum)
-    end
-    else begin
-      (* Iterative deepening over one incremental session.  Verdict policy,
-         chosen so the schedule can never flip a single-shot verdict:
-         - a counterexample at any depth is a terminating execution that
-           also exists at every deeper bound, so it is final (and still
-           concretely re-validated before "semantic error");
-         - Unsat at a non-final depth proves nothing about deeper bounds:
-           retract the depth's guard and deepen — only the final bound's
-           Unsat is "equivalent";
-         - Unknown (budget or deadline) anywhere ends the schedule as
-           inconclusive, exactly like the single-shot path;
-         - Unsupported at a non-final depth is skipped (a pair can be
-           positionally matchable at the full bound but not at a shallow
-           one); the final depth's answer is authoritative.
-         The conflict budget is shared by the whole schedule: each check
-         gets what the earlier depths left over. *)
-      let sess = Refine.session_create ?sat () in
-      Fun.protect ~finally:(fun () -> Refine.session_release sess) @@ fun () ->
-      let rec deepen = function
-        | [] -> assert false
-        | depth :: rest -> (
-          let final = rest = [] in
-          let skip_or_fail reason =
-            if final then
-              verdict ~bounded ~copy Inconclusive (Diagnostics.inconclusive_message reason)
-            else deepen rest
-          in
-          match
-            let s_sum = Encode.encode ~unroll_bound:depth ~side:"src" m src in
-            let t_sum = Encode.encode ~unroll_bound:depth ~side:"tgt" m tgt in
-            (s_sum, t_sum)
-          with
-          | exception Encode.Unsupported reason -> skip_or_fail reason
-          | s_sum, t_sum -> (
-            let remaining = max_conflicts - Refine.session_conflicts sess in
-            if remaining <= 0 then
-              verdict ~bounded ~copy Inconclusive
-                (Diagnostics.inconclusive_message "solver resource limit reached")
-            else
-              match
-                Refine.check_incremental ~max_conflicts:remaining ?deadline ?reduce sess
-                  ~depth s_sum t_sum
-              with
-              | exception Encode.Unsupported reason -> skip_or_fail reason
-              | Refine.Refines ->
-                if final then
-                  verdict ~bounded ~copy Equivalent (Diagnostics.equivalent_message ~bounded)
-                else begin
-                  Refine.retract sess ~depth;
-                  deepen rest
-                end
-              | Refine.Unknown ->
-                verdict ~bounded ~copy Inconclusive
-                  (Diagnostics.inconclusive_message "solver resource limit reached")
-              | Refine.Counterexample model ->
-                counterexample_verdict ~bounded ~copy model m src tgt s_sum t_sum))
-      in
-      deepen (unroll_schedule unroll)
-    end
+let verify_funcs ?(unroll = 4) ?(max_conflicts = 200_000) ?deadline ?sat m ~src ~tgt =
+  verify_pair ~deepen:true ~unroll ~max_conflicts ?deadline ?sat m ~src ~tgt
+
+let verify_funcs_single_shot ?(unroll = 4) ?(max_conflicts = 200_000) ?deadline ?sat m ~src
+    ~tgt =
+  verify_pair ~deepen:false ~unroll ~max_conflicts ?deadline ?sat m ~src ~tgt
 
 (* ------------------------------------------------------------------ *)
 (* Cube-and-conquer entry points (the engine's portfolio tier-2 path).
@@ -259,20 +253,16 @@ let verify_funcs ?(unroll = 4) ?(max_conflicts = 200_000) ?deadline ?reduce ?inc
 
 type cube_outcome = Cube_refines | Cube_cex of verdict | Cube_unknown
 
-let verify_funcs_cube ?(unroll = 4) ?(max_conflicts = 200_000) ?deadline ?reduce ?sat ~cube
+let verify_funcs_cube ?(unroll = 4) ?(max_conflicts = 200_000) ?deadline ?sat ~cube
     (m : Ast.modul) ~(src : Ast.func) ~(tgt : Ast.func) : cube_outcome * int list =
   let copy = Builder.alpha_equal src tgt in
   if not (signature_matches src tgt) then (Cube_unknown, [])
   else
     let bounded = Cfg.has_loop (Cfg.of_func src) || Cfg.has_loop (Cfg.of_func tgt) in
-    match
-      let s_sum = Encode.encode ~unroll_bound:unroll ~side:"src" m src in
-      let t_sum = Encode.encode ~unroll_bound:unroll ~side:"tgt" m tgt in
-      (s_sum, t_sum)
-    with
+    match encode_pair ~unroll m ~src ~tgt with
     | exception Encode.Unsupported _ -> (Cube_unknown, [])
     | s_sum, t_sum -> (
-      match Refine.check_cube ~max_conflicts ?deadline ?reduce ?sat ~cube s_sum t_sum with
+      match Refine.check_cube ~max_conflicts ?deadline ?sat ~cube s_sum t_sum with
       | exception Encode.Unsupported _ -> (Cube_unknown, [])
       | Refine.Refines, units -> (Cube_refines, units)
       | Refine.Unknown, units -> (Cube_unknown, units)
@@ -294,26 +284,19 @@ type cube_plan = {
   plan_copy : bool;
 }
 
-let cube_probe ?(unroll = 4) ?(max_conflicts = 500) ?deadline ?reduce ?sat ~k (m : Ast.modul)
+let cube_probe ?(unroll = 4) ?(max_conflicts = 500) ?deadline ?sat ~k (m : Ast.modul)
     ~(src : Ast.func) ~(tgt : Ast.func) : [ `Verdict of verdict | `Split of cube_plan ] =
   let copy = Builder.alpha_equal src tgt in
-  if not (signature_matches src tgt) then
-    `Verdict
-      (verdict Syntax_error
-         (Diagnostics.syntax_error_message "function signature does not match the source"))
+  if not (signature_matches src tgt) then `Verdict signature_verdict
   else
     let bounded = Cfg.has_loop (Cfg.of_func src) || Cfg.has_loop (Cfg.of_func tgt) in
     let inconclusive reason =
       `Verdict (verdict ~bounded ~copy Inconclusive (Diagnostics.inconclusive_message reason))
     in
-    match
-      let s_sum = Encode.encode ~unroll_bound:unroll ~side:"src" m src in
-      let t_sum = Encode.encode ~unroll_bound:unroll ~side:"tgt" m tgt in
-      (s_sum, t_sum)
-    with
+    match encode_pair ~unroll m ~src ~tgt with
     | exception Encode.Unsupported reason -> inconclusive reason
     | s_sum, t_sum -> (
-      match Refine.probe ~max_conflicts ?deadline ?reduce ?sat s_sum t_sum with
+      match Refine.probe ~max_conflicts ?deadline ?sat s_sum t_sum with
       | exception Encode.Unsupported reason -> inconclusive reason
       | _, Refine.Refines ->
         `Verdict (verdict ~bounded ~copy Equivalent (Diagnostics.equivalent_message ~bounded))
@@ -347,17 +330,22 @@ let probe_join ?(max_conflicts = 10_000) ?deadline (plan : cube_plan) ~(units : 
          plan.plan_src plan.plan_tgt plan.plan_s_sum plan.plan_t_sum)
   | Refine.Unknown -> None
 
-(** Verify model-produced IR text against a source function: parse errors and
-    malformed IR map to [Syntax_error], as in the paper's Tables I/II. *)
-let verify_text ?unroll ?max_conflicts ?deadline ?reduce ?incremental ?sat (m : Ast.modul)
-    ~(src : Ast.func) ~(tgt_text : string) : verdict =
-  match Parser.parse_func_result tgt_text with
-  | Error msg -> verdict Syntax_error (Diagnostics.syntax_error_message msg)
+(* Tier 0 for model-produced IR text: parse errors and malformed IR map to
+   [Syntax_error], as in the paper's Tables I/II. *)
+let parse_target (m : Ast.modul) (text : string) : (Ast.func, verdict) result =
+  let syntax_error msg = Error (verdict Syntax_error (Diagnostics.syntax_error_message msg)) in
+  match Parser.parse_func_result text with
+  | Error msg -> syntax_error msg
   | Ok tgt -> (
     match Validator.validate_func ~module_:m tgt with
-    | Error errors ->
-      verdict Syntax_error (Diagnostics.syntax_error_message (String.concat "\n" errors))
-    | Ok () -> verify_funcs ?unroll ?max_conflicts ?deadline ?reduce ?incremental ?sat m ~src ~tgt)
+    | Error errors -> syntax_error (String.concat "\n" errors)
+    | Ok () -> Ok tgt)
+
+let verify_text ?unroll ?max_conflicts ?deadline ?sat (m : Ast.modul) ~(src : Ast.func)
+    ~(tgt_text : string) : verdict =
+  match parse_target m tgt_text with
+  | Error v -> v
+  | Ok tgt -> verify_funcs ?unroll ?max_conflicts ?deadline ?sat m ~src ~tgt
 
 (* Bump when the verdict taxonomy or the tier-1 concrete re-validation
    changes meaning: the disk-backed verdict store keys entry freshness on

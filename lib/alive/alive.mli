@@ -20,9 +20,13 @@ type verdict = {
 val signature_matches : Veriopt_ir.Ast.func -> Veriopt_ir.Ast.func -> bool
 (** Same return type and positionally equal parameter types. *)
 
-val incremental_default : unit -> bool
-(** The default for [?incremental]: true unless [VERIOPT_INCR] is set to
-    [0]/[false]/[off]/[no]. *)
+val signature_verdict : verdict
+(** The [Syntax_error] verdict for a pair failing {!signature_matches}. *)
+
+val parse_target : Veriopt_ir.Ast.modul -> string -> (Veriopt_ir.Ast.func, verdict) result
+(** Tier 0 for model-produced IR text: parse it and validate it against
+    the module.  A failure is the [Syntax_error] verdict {!verify_text}
+    returns, as in the paper's tables. *)
 
 val unroll_schedule : int -> int list
 (** The iterative-deepening schedule for a bound: doubling depths ending
@@ -32,8 +36,6 @@ val verify_funcs :
   ?unroll:int ->
   ?max_conflicts:int ->
   ?deadline:float ->
-  ?reduce:bool ->
-  ?incremental:bool ->
   ?sat:Veriopt_smt.Sat.config ->
   Veriopt_ir.Ast.modul ->
   src:Veriopt_ir.Ast.func ->
@@ -43,35 +45,43 @@ val verify_funcs :
     route untrusted text through {!verify_text}.  [unroll] bounds loop
     unrolling (default 4); [max_conflicts] is the solver budget; [deadline]
     is an absolute wall-clock instant — past it the solver reports
-    [Inconclusive] instead of continuing.  [reduce] (default on) is the
-    SAT core's learned-clause-DB reduction knob; it affects solver speed,
-    never verdicts.
+    [Inconclusive] instead of continuing.
 
-    [incremental] (default {!incremental_default}) makes loop-bearing pairs
-    run an iterative-deepening unroll schedule (see {!unroll_schedule}) over
-    one persistent solver session, stopping early on a conclusive verdict;
-    the [max_conflicts] and [deadline] budgets are amortized across the
-    whole schedule.  Verdicts agree with the single-shot path: only the
-    final bound's "no mismatch" proves equivalence, counterexamples are
-    depth-independent (and still concretely re-validated), and resource
-    exhaustion anywhere is inconclusive.
+    A loop-bearing pair with [unroll > 1] runs an iterative-deepening
+    unroll schedule (see {!unroll_schedule}) over one persistent solver
+    session, stopping early on a conclusive verdict; the [max_conflicts]
+    and [deadline] budgets are amortized across the whole schedule.
+    Verdicts agree with {!verify_funcs_single_shot}: only the final bound's
+    "no mismatch" proves equivalence, counterexamples are depth-independent
+    (and still concretely re-validated), and resource exhaustion anywhere
+    is inconclusive.  Every other pair is solved single-shot.
 
     [sat] diversifies the underlying SAT solver's search trajectory
     (portfolio members); it affects solver speed, never verdicts. *)
+
+val verify_funcs_single_shot :
+  ?unroll:int ->
+  ?max_conflicts:int ->
+  ?deadline:float ->
+  ?sat:Veriopt_smt.Sat.config ->
+  Veriopt_ir.Ast.modul ->
+  src:Veriopt_ir.Ast.func ->
+  tgt:Veriopt_ir.Ast.func ->
+  verdict
+(** {!verify_funcs} with one fresh solve at the full [unroll] bound, even
+    for loop-bearing pairs: the path every acyclic pair takes, and the
+    differential reference the deepening schedule is tested against. *)
 
 val verify_text :
   ?unroll:int ->
   ?max_conflicts:int ->
   ?deadline:float ->
-  ?reduce:bool ->
-  ?incremental:bool ->
   ?sat:Veriopt_smt.Sat.config ->
   Veriopt_ir.Ast.modul ->
   src:Veriopt_ir.Ast.func ->
   tgt_text:string ->
   verdict
-(** Verify model-produced IR text: parse and validation failures map to
-    [Syntax_error], as in the paper's tables. *)
+(** Verify model-produced IR text: {!parse_target}, then {!verify_funcs}. *)
 
 (** {1 Cube-and-conquer}
 
@@ -94,7 +104,6 @@ val verify_funcs_cube :
   ?unroll:int ->
   ?max_conflicts:int ->
   ?deadline:float ->
-  ?reduce:bool ->
   ?sat:Veriopt_smt.Sat.config ->
   cube:int list ->
   Veriopt_ir.Ast.modul ->
@@ -124,7 +133,6 @@ val cube_probe :
   ?unroll:int ->
   ?max_conflicts:int ->
   ?deadline:float ->
-  ?reduce:bool ->
   ?sat:Veriopt_smt.Sat.config ->
   k:int ->
   Veriopt_ir.Ast.modul ->

@@ -89,8 +89,9 @@ let coalesce_key (m : Ast.modul) ~(src : Ast.func) ~(tgt : Ast.func) : string =
    one entry — renumbering preserves semantics, boundedness and
    copy-of-input, so one verdict is sound for the whole alpha class), and
    every knob that can change a verdict or its budget semantics: unroll,
-   conflict budget, clause-DB reduction, incrementality, portfolio width
-   and the base SAT config.  Freshness across code changes is carried by
+   conflict budget, portfolio width and the base SAT config.  The memory
+   tier and the disk tier share one key ([cache_key]); the disk address is
+   its text, {!Vcache.key_text}.  Freshness across code changes is carried by
    the semantics digest: bump any registered [semantics_version] and every
    prior entry is skipped as stale. *)
 
@@ -116,20 +117,21 @@ let semantics_digest_lazy =
 
 let semantics_digest () = Lazy.force semantics_digest_lazy
 
-let store_key ?(unroll = 4) ?(max_conflicts = 200_000) ?(reduce = true) ?incremental
-    ?(portfolio = 1) ?sat (m : Ast.modul) ~(src : Ast.func) ~(tgt : Ast.func) : string =
-  let incremental =
-    match incremental with Some b -> b | None -> Alive.incremental_default ()
-  in
-  String.concat "\x00"
-    [
-      canon Printer.module_to_string m;
-      alpha_canon src;
-      alpha_canon tgt;
-      Printf.sprintf "u=%d;c=%d;r=%b;i=%b;p=%d" unroll max_conflicts reduce incremental
-        portfolio;
-      Sat.describe_config (Option.value sat ~default:Sat.default_config);
-    ]
+let cache_key ~unroll ~max_conflicts ~portfolio ~sat (m : Ast.modul) ~(src : Ast.func)
+    ~(tgt : Ast.func) : Vcache.key =
+  {
+    Vcache.ctx = canon Printer.module_to_string m;
+    (* alpha-canonical: commuted/renormalized twins hit one entry *)
+    src = alpha_canon src;
+    tgt = alpha_canon tgt;
+    unroll;
+    max_conflicts;
+    portfolio;
+    sat = Sat.describe_config (Option.value sat ~default:Sat.default_config);
+  }
+
+let store_key ?(unroll = 4) ?(max_conflicts = 200_000) ?(portfolio = 1) ?sat m ~src ~tgt =
+  Vcache.key_text (cache_key ~unroll ~max_conflicts ~portfolio ~sat m ~src ~tgt)
 
 (* The stored value: the verdict plus which tier produced it and the
    solver-stats delta the original miss paid — so a warm hit can report
@@ -164,9 +166,9 @@ let worker_store (dir : string) : Store.t option =
     s
 
 (* The tier-2 query shipped to a forked worker: plain AST values and knobs,
-   no closures (Marshal requirement).  The incremental flag rides along so
-   the iterative-deepening loop — self-contained below this boundary — runs
-   identically inside the worker.  [pr_sat] diversifies the worker's SAT
+   no closures (Marshal requirement).  The worker runs the same
+   [Alive.verify_funcs] as the in-process backend, so a loop pair deepens
+   identically on both sides of the boundary.  [pr_sat] diversifies the worker's SAT
    solver (portfolio member); [pr_cube] switches the worker to solving one
    cube of the query as raw assumption literals. *)
 type proc_request = {
@@ -175,8 +177,6 @@ type proc_request = {
   pr_tgt : Ast.func;
   pr_unroll : int;
   pr_max_conflicts : int;
-  pr_reduce : bool;
-  pr_incremental : bool;
   pr_deadline : float option;
   pr_sat : Sat.config option;
   pr_cube : int list option;
@@ -204,9 +204,8 @@ let proc_handler (r : proc_request) : proc_response =
       match Option.map worker_store r.pr_store with
       | Some (Some st) -> (
         let key =
-          store_key ~unroll:r.pr_unroll ~max_conflicts:r.pr_max_conflicts
-            ~reduce:r.pr_reduce ~incremental:r.pr_incremental ~portfolio:1 ?sat:r.pr_sat
-            r.pr_m ~src:r.pr_src ~tgt:r.pr_tgt
+          store_key ~unroll:r.pr_unroll ~max_conflicts:r.pr_max_conflicts ?sat:r.pr_sat r.pr_m
+            ~src:r.pr_src ~tgt:r.pr_tgt
         in
         match Store.find st ~key with
         | None -> None
@@ -223,15 +222,13 @@ let proc_handler (r : proc_request) : proc_response =
     | None ->
       let v =
         Alive.verify_funcs ~unroll:r.pr_unroll ~max_conflicts:r.pr_max_conflicts
-          ?deadline:r.pr_deadline ~reduce:r.pr_reduce ~incremental:r.pr_incremental
-          ?sat:r.pr_sat r.pr_m ~src:r.pr_src ~tgt:r.pr_tgt
+          ?deadline:r.pr_deadline ?sat:r.pr_sat r.pr_m ~src:r.pr_src ~tgt:r.pr_tgt
       in
       P_verdict (v, Solver.diff (Solver.stats ()) before))
   | Some cube ->
     let o, units =
       Alive.verify_funcs_cube ~unroll:r.pr_unroll ~max_conflicts:r.pr_max_conflicts
-        ?deadline:r.pr_deadline ~reduce:r.pr_reduce ?sat:r.pr_sat ~cube r.pr_m ~src:r.pr_src
-        ~tgt:r.pr_tgt
+        ?deadline:r.pr_deadline ?sat:r.pr_sat ~cube r.pr_m ~src:r.pr_src ~tgt:r.pr_tgt
     in
     P_cube (o, units, Solver.diff (Solver.stats ()) before)
 
@@ -479,16 +476,16 @@ let rec floor_log2 n = if n <= 1 then 0 else 1 + floor_log2 (n / 2)
 
 type race_leg = { leg_cube : int list option; leg_member : Portfolio.member }
 
-let tier2_race (t : t) pool ~unroll ~max_conflicts ?deadline ~reduce
-    ~(sat : Sat.config option) ~bounded (m : Ast.modul) ~(src : Ast.func) ~(tgt : Ast.func) :
+let tier2_race (t : t) pool ~unroll ~max_conflicts ?deadline ~(sat : Sat.config option)
+    ~bounded (m : Ast.modul) ~(src : Ast.func) ~(tgt : Ast.func) :
     Alive.verdict * bool (* cacheable *) =
   Portfolio.note_race ();
   let t0 = now () in
   let base_seed = match sat with Some c -> c.Sat.seed | None -> 0 in
   let k = min t.cube_k (floor_log2 (Vproc.jobs pool)) in
   match
-    Alive.cube_probe ~unroll ~max_conflicts:(min 500 max_conflicts) ?deadline ~reduce ?sat ~k
-      m ~src ~tgt
+    Alive.cube_probe ~unroll ~max_conflicts:(min 500 max_conflicts) ?deadline ?sat ~k m ~src
+      ~tgt
   with
   | `Verdict v -> (v, true) (* conclusive before any fan-out *)
   | `Split plan -> (
@@ -513,8 +510,6 @@ let tier2_race (t : t) pool ~unroll ~max_conflicts ?deadline ~reduce
                pr_tgt = tgt;
                pr_unroll = unroll;
                pr_max_conflicts = max_conflicts;
-               pr_reduce = reduce;
-               pr_incremental = false; (* cube legs are single-shot by design *)
                pr_deadline = deadline;
                pr_sat = Some leg.leg_member.Portfolio.config;
                pr_cube = leg.leg_cube;
@@ -624,49 +619,13 @@ let tier2_race (t : t) pool ~unroll ~max_conflicts ?deadline ~reduce
 
 (* ------------------------------------------------------------------ *)
 
-let verify_funcs ?(unroll = 4) ?(max_conflicts = 200_000) ?deadline ?(reduce = true)
-    ?incremental ?sat (t : t) (m : Ast.modul) ~(src : Ast.func) ~(tgt : Ast.func) :
-    Alive.verdict =
-  (* resolve the env-dependent default up front: the concrete bool enters
-     the cache key, so a later VERIOPT_INCR change cannot alias entries *)
-  let incremental =
-    match incremental with Some b -> b | None -> Alive.incremental_default ()
-  in
-  if not (Alive.signature_matches src tgt) then
-    (* tier 0, mirror of Alive.verify_funcs: cheap, never cached *)
-    {
-      Alive.category = Alive.Syntax_error;
-      message = Diagnostics.syntax_error_message "function signature does not match the source";
-      example = [];
-      bounded = false;
-      copy_of_input = false;
-    }
+let verify_funcs ?(unroll = 4) ?(max_conflicts = 200_000) ?deadline ?sat (t : t)
+    (m : Ast.modul) ~(src : Ast.func) ~(tgt : Ast.func) : Alive.verdict =
+  (* tier 0, mirror of Alive.verify_funcs: cheap, never cached *)
+  if not (Alive.signature_matches src tgt) then Alive.signature_verdict
   else
-    let key =
-      {
-        Vcache.ctx = canon Printer.module_to_string m;
-        (* alpha-canonical: commuted/renormalized twins hit one entry *)
-        src = alpha_canon src;
-        tgt = alpha_canon tgt;
-        unroll;
-        max_conflicts;
-        reduce;
-        incremental;
-        portfolio = t.portfolio;
-        sat = Sat.describe_config (Option.value sat ~default:Sat.default_config);
-      }
-    in
-    (* the disk tier's content address: alpha-canonical pair text + every
-       budget knob (the semantics digest rides inside each store record) *)
-    let skey =
-      match t.store with
-      | None -> None
-      | Some _ ->
-        Some
-          (store_key ~unroll ~max_conflicts ~reduce ~incremental ~portfolio:t.portfolio ?sat m
-             ~src ~tgt)
-    in
-    match Vcache.find ?skey t.cache key with
+    let key = cache_key ~unroll ~max_conflicts ~portfolio:t.portfolio ~sat m ~src ~tgt in
+    match Vcache.find t.cache key with
     | Some v -> v
     | None ->
       (* fault site: artificial verification latency *)
@@ -684,26 +643,18 @@ let verify_funcs ?(unroll = 4) ?(max_conflicts = 200_000) ?deadline ?(reduce = t
       let tier2 () =
         if t.breaker_k > 0 && Vcache.breaker_skip t.cache then begin
           cacheable := false;
-          {
-            Alive.category = Alive.Inconclusive;
-            message =
-              Diagnostics.inconclusive_message
-                "circuit breaker open: SMT tier skipped (degraded mode)";
-            example = [];
-            bounded = Lazy.force bounded;
-            copy_of_input = false;
-          }
+          inconclusive_verdict ~bounded:(Lazy.force bounded) ~copy:false
+            "circuit breaker open: SMT tier skipped (degraded mode)"
         end
         else begin
           let t0 = now () in
           let v =
             match t.pool with
             | None ->
-              Alive.verify_funcs ~unroll ~max_conflicts ?deadline ~reduce ~incremental ?sat m
-                ~src ~tgt
+              Alive.verify_funcs ~unroll ~max_conflicts ?deadline ?sat m ~src ~tgt
             | Some pool when t.portfolio > 1 ->
               let v, c =
-                tier2_race t pool ~unroll ~max_conflicts ?deadline ~reduce ~sat
+                tier2_race t pool ~unroll ~max_conflicts ?deadline ~sat
                   ~bounded:(Lazy.force bounded) m ~src ~tgt
               in
               if not c then cacheable := false;
@@ -722,8 +673,6 @@ let verify_funcs ?(unroll = 4) ?(max_conflicts = 200_000) ?deadline ?(reduce = t
                     pr_tgt = tgt;
                     pr_unroll = unroll;
                     pr_max_conflicts = max_conflicts;
-                    pr_reduce = reduce;
-                    pr_incremental = incremental;
                     pr_deadline = deadline;
                     pr_sat = sat;
                     pr_cube = None;
@@ -742,15 +691,8 @@ let verify_funcs ?(unroll = 4) ?(max_conflicts = 200_000) ?deadline ?(reduce = t
                 (* a dead worker describes this call's sandbox, not the
                    query: degrade to an uncached Inconclusive *)
                 cacheable := false;
-                {
-                  Alive.category = Alive.Inconclusive;
-                  message =
-                    Diagnostics.inconclusive_message
-                      ("verification " ^ Vproc.failure_message f ^ " (proc isolate)");
-                  example = [];
-                  bounded = Lazy.force bounded;
-                  copy_of_input = false;
-                })
+                inconclusive_verdict ~bounded:(Lazy.force bounded) ~copy:false
+                  ("verification " ^ Vproc.failure_message f ^ " (proc isolate)"))
           in
           Vcache.note_tier2 t.cache ~seconds:(now () -. t0);
           if t.breaker_k > 0 then
@@ -785,43 +727,25 @@ let verify_funcs ?(unroll = 4) ?(max_conflicts = 200_000) ?deadline ?(reduce = t
         end
       in
       if !cacheable then
-        Vcache.add ?skey
+        Vcache.add
           ?spayload:
             (Option.map
                (fun _ ->
                  store_encode ~tier:!tier
                    ~delta:(Solver.diff (Solver.stats ()) solver_before)
                    verdict)
-               skey)
+               t.store)
           t.cache key verdict;
       verdict
 
-let verify_text ?unroll ?max_conflicts ?deadline ?reduce ?incremental ?sat (t : t)
-    (m : Ast.modul) ~(src : Ast.func) ~(tgt_text : string) : Alive.verdict =
+let verify_text ?unroll ?max_conflicts ?deadline ?sat (t : t) (m : Ast.modul)
+    ~(src : Ast.func) ~(tgt_text : string) : Alive.verdict =
   (* fault site: a crashing (not merely failing) parse; the crash-proof
      reward path converts the exception into a counted engine failure *)
   Fault.inject Fault.Parse_corrupt ~site:"engine.parse";
-  match Parser.parse_func_result tgt_text with
-  | Error msg ->
-    {
-      Alive.category = Alive.Syntax_error;
-      message = Diagnostics.syntax_error_message msg;
-      example = [];
-      bounded = false;
-      copy_of_input = false;
-    }
-  | Ok tgt -> (
-    match Validator.validate_func ~module_:m tgt with
-    | Error errors ->
-      {
-        Alive.category = Alive.Syntax_error;
-        message = Diagnostics.syntax_error_message (String.concat "\n" errors);
-        example = [];
-        bounded = false;
-        copy_of_input = false;
-      }
-    | Ok () ->
-      verify_funcs ?unroll ?max_conflicts ?deadline ?reduce ?incremental ?sat t m ~src ~tgt)
+  match Alive.parse_target m tgt_text with
+  | Error v -> v
+  | Ok tgt -> verify_funcs ?unroll ?max_conflicts ?deadline ?sat t m ~src ~tgt
 
 (* ------------------------------------------------------------------ *)
 (* Pain probes: one timed, deadline-bounded verification plus the deltas of
@@ -863,7 +787,7 @@ let pain_stats t =
   Mutex.unlock c.pc_mu;
   s
 
-let verify_pain ?unroll ?max_conflicts ?(budget_s = 0.05) ?reduce ?incremental ?sat (t : t)
+let verify_pain ?unroll ?max_conflicts ?(budget_s = 0.05) ?sat (t : t)
     (m : Ast.modul) ~(src : Ast.func) ~(tgt : Ast.func) : pain =
   let vs0 = Vcache.stats t.cache in
   let ss0 = Solver.stats () in
@@ -871,8 +795,7 @@ let verify_pain ?unroll ?max_conflicts ?(budget_s = 0.05) ?reduce ?incremental ?
   let t0 = now () in
   let budget_s = Float.max 0.001 budget_s in
   let v =
-    verify_funcs ?unroll ?max_conflicts ~deadline:(t0 +. budget_s) ?reduce ?incremental ?sat
-      t m ~src ~tgt
+    verify_funcs ?unroll ?max_conflicts ~deadline:(t0 +. budget_s) ?sat t m ~src ~tgt
   in
   let wall = now () -. t0 in
   let vs1 = Vcache.stats t.cache in

@@ -2,9 +2,8 @@
 
     Verification proceeds through three tiers, cheapest first:
 
-    - {b Tier 0} (always): parse / validation / signature checks and
-      alpha-equality copy detection — the existing front half of
-      {!Alive.verify_text}.
+    - {b Tier 0} (always): {!Alive.parse_target}, the signature check
+      ({!Alive.signature_verdict}) and alpha-equality copy detection.
     - {b Tier 1}: a concrete counterexample hunt with the I/O oracle
       ({!Veriopt_eval.Exec_oracle}).  A confirmed concrete mismatch yields
       [Semantic_error] immediately, with the distinguishing input as the
@@ -113,8 +112,6 @@ val verify_funcs :
   ?unroll:int ->
   ?max_conflicts:int ->
   ?deadline:float ->
-  ?reduce:bool ->
-  ?incremental:bool ->
   ?sat:Veriopt_smt.Sat.config ->
   t ->
   Veriopt_ir.Ast.modul ->
@@ -124,23 +121,16 @@ val verify_funcs :
 (** Tiered + cached equivalent of {!Alive.verify_funcs} (same defaults).
     [deadline] is an absolute [Unix.gettimeofday] instant: past it the SMT
     tier answers [Inconclusive] instead of continuing.  Deadline-expired and
-    breaker-skipped verdicts are transient and never cached.  [reduce]
-    (default on) is the SAT core's clause-DB reduction knob; like
-    [max_conflicts] it is part of the cache key.  [incremental] (default
-    {!Alive.incremental_default}) selects iterative-deepening unroll for
-    loop-bearing pairs; the resolved flag also enters the cache key and the
-    marshalled [Proc] request, so both backends and the cache agree on the
-    schedule.  [sat] is the base SAT configuration: the single solver's
-    config when [portfolio = 1], and the seed/config of member 0 of a race
-    (its canonical description enters the cache key, as does the portfolio
-    width). *)
+    breaker-skipped verdicts are transient and never cached.  [unroll] and
+    [max_conflicts] are part of the cache key.  [sat] is the base SAT
+    configuration: the single solver's config when [portfolio = 1], and the
+    seed/config of member 0 of a race (its canonical description enters the
+    cache key, as does the portfolio width). *)
 
 val verify_text :
   ?unroll:int ->
   ?max_conflicts:int ->
   ?deadline:float ->
-  ?reduce:bool ->
-  ?incremental:bool ->
   ?sat:Veriopt_smt.Sat.config ->
   t ->
   Veriopt_ir.Ast.modul ->
@@ -187,8 +177,6 @@ val verify_pain :
   ?unroll:int ->
   ?max_conflicts:int ->
   ?budget_s:float ->
-  ?reduce:bool ->
-  ?incremental:bool ->
   ?sat:Veriopt_smt.Sat.config ->
   t ->
   Veriopt_ir.Ast.modul ->
@@ -223,8 +211,6 @@ val semantics_digest : unit -> string
 val store_key :
   ?unroll:int ->
   ?max_conflicts:int ->
-  ?reduce:bool ->
-  ?incremental:bool ->
   ?portfolio:int ->
   ?sat:Veriopt_smt.Sat.config ->
   Veriopt_ir.Ast.modul ->
@@ -237,8 +223,9 @@ val store_key :
     and operand-commuted / constant-renormalized twins (the key-level
     {!Veriopt_ir.Canon} quotient), collide onto one entry, soundly,
     because renumbering and canonicalization preserve semantics — plus
-    every verdict-relevant knob.  Exposed for the key-soundness fuzz
-    harness. *)
+    every verdict-relevant knob.  It is {!Vcache.key_text} of the engine's
+    cache key, the one key both tiers, the forked workers and the miner
+    use.  Exposed for the key-soundness fuzz harness. *)
 
 val store_encode : tier:int -> delta:Veriopt_smt.Solver.stats -> Alive.verdict -> string
 (** Serialize a store payload: the verdict, the tier that produced it and

@@ -148,9 +148,8 @@ let outcome_of = function
 
 (** Check whether [tgt] refines [src].  [sat] diversifies the underlying
     SAT solver (portfolio members). *)
-let check ?(max_conflicts = 200_000) ?deadline ?reduce ?sat (src : summary) (tgt : summary) :
-    outcome =
-  outcome_of (Solver.check ~max_conflicts ?deadline ?reduce ?config:sat (query src tgt))
+let check ?(max_conflicts = 200_000) ?deadline ?sat (src : summary) (tgt : summary) : outcome =
+  outcome_of (Solver.check ~max_conflicts ?deadline ?config:sat (query src tgt))
 
 (* ------------------------------------------------------------------ *)
 (* Cube-and-conquer entry points.
@@ -165,9 +164,9 @@ let check ?(max_conflicts = 200_000) ?deadline ?reduce ?sat (src : summary) (tgt
    constructor orders its operands by the structural {!Expr.compare}, never
    by allocation id. *)
 
-let probe ?(max_conflicts = 500) ?deadline ?reduce ?sat (src : summary) (tgt : summary) :
+let probe ?(max_conflicts = 500) ?deadline ?sat (src : summary) (tgt : summary) :
     Solver.probe * outcome =
-  let p, o = Solver.probe_check ~max_conflicts ?deadline ?reduce ?config:sat (query src tgt) in
+  let p, o = Solver.probe_check ~max_conflicts ?deadline ?config:sat (query src tgt) in
   (p, outcome_of o)
 
 let probe_top_vars = Solver.probe_top_vars
@@ -176,11 +175,9 @@ let probe_join ?max_conflicts ?deadline p ~units =
   Solver.probe_add_units p units;
   outcome_of (Solver.probe_resolve ?max_conflicts ?deadline p)
 
-let check_cube ?(max_conflicts = 200_000) ?deadline ?reduce ?sat ~cube (src : summary)
-    (tgt : summary) : outcome * int list =
-  let o, units =
-    Solver.check_cube ~max_conflicts ?deadline ?reduce ?config:sat ~cube (query src tgt)
-  in
+let check_cube ?(max_conflicts = 200_000) ?deadline ?sat ~cube (src : summary) (tgt : summary)
+    : outcome * int list =
+  let o, units = Solver.check_cube ~max_conflicts ?deadline ?config:sat ~cube (query src tgt) in
   (outcome_of o, units)
 
 (* ------------------------------------------------------------------ *)
@@ -211,13 +208,13 @@ let guard_var depth = Expr.bool_var (Fmt.str "!unroll!guard!%d" depth)
 
 (** One step of the deepening schedule: assert the depth-[depth] query
     (guarded) and check it under its guard assumption. *)
-let check_incremental ?(max_conflicts = 200_000) ?deadline ?reduce (t : session)
-    ~(depth : int) (src : summary) (tgt : summary) : outcome =
+let check_incremental ?(max_conflicts = 200_000) ?deadline (t : session) ~(depth : int)
+    (src : summary) (tgt : summary) : outcome =
   let q = query src tgt in
   let g = guard_var depth in
   Solver.Session.assert_ t.s (Expr.implies g (Expr.conj q));
   t.asserted_depths <- depth :: t.asserted_depths;
-  match Solver.Session.check ~max_conflicts ?deadline ?reduce ~assumptions:[ g ] t.s with
+  match Solver.Session.check ~max_conflicts ?deadline ~assumptions:[ g ] t.s with
   | Solver.Unsat -> Refines
   | Solver.Sat model -> Counterexample model
   | Solver.Unknown -> Unknown

@@ -14,14 +14,12 @@ type outcome =
 val check :
   ?max_conflicts:int ->
   ?deadline:float ->
-  ?reduce:bool ->
   ?sat:Veriopt_smt.Sat.config ->
   Encode.summary ->
   Encode.summary ->
   outcome
 (** [deadline] is an absolute wall-clock instant forwarded to the solver;
-    [reduce] is the learned-clause-DB reduction knob (default on); [sat]
-    diversifies the underlying SAT solver (portfolio members). *)
+    [sat] diversifies the underlying SAT solver (portfolio members). *)
 
 (** {1 Cube-and-conquer}
 
@@ -36,7 +34,6 @@ val check :
 val probe :
   ?max_conflicts:int ->
   ?deadline:float ->
-  ?reduce:bool ->
   ?sat:Veriopt_smt.Sat.config ->
   Encode.summary ->
   Encode.summary ->
@@ -60,7 +57,6 @@ val probe_join :
 val check_cube :
   ?max_conflicts:int ->
   ?deadline:float ->
-  ?reduce:bool ->
   ?sat:Veriopt_smt.Sat.config ->
   cube:int list ->
   Encode.summary ->
@@ -89,7 +85,6 @@ val session_conflicts : session -> int
 val check_incremental :
   ?max_conflicts:int ->
   ?deadline:float ->
-  ?reduce:bool ->
   session ->
   depth:int ->
   Encode.summary ->

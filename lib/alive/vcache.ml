@@ -10,11 +10,19 @@ type key = {
   tgt : string;
   unroll : int;
   max_conflicts : int;
-  reduce : bool;
-  incremental : bool;
   portfolio : int;
   sat : string;
 }
+
+let key_text k =
+  String.concat "\x00"
+    [
+      k.ctx;
+      k.src;
+      k.tgt;
+      Printf.sprintf "u=%d;c=%d;p=%d" k.unroll k.max_conflicts k.portfolio;
+      k.sat;
+    ]
 
 type stats = {
   hits : int;
@@ -122,7 +130,7 @@ let attach_store t ~store ~decode =
 
 let store t = locked t (fun () -> Option.map (fun tap -> tap.tap_store) t.tap)
 
-let find ?skey t key =
+let find t key =
   let mem, tap =
     locked t (fun () ->
         match Hashtbl.find_opt t.current key with
@@ -150,10 +158,10 @@ let find ?skey t key =
     (* read-through: the store lookup runs outside the mutex — a racing
        double-miss recomputes once harmlessly, and slow disk never blocks
        other cache users *)
-    match (tap, skey) with
-    | Some tap, Some skey -> (
+    match tap with
+    | Some tap -> (
       let t0 = Unix.gettimeofday () in
-      match Store.find tap.tap_store ~key:skey with
+      match Store.find tap.tap_store ~key:(key_text key) with
       | None -> miss ()
       | Some payload -> (
         match tap.tap_decode payload with
@@ -174,9 +182,9 @@ let find ?skey t key =
               t.tier1_ewma_s <- roll t.tier1_ewma_s dt;
               t.tier2_ewma_s <- roll t.tier2_ewma_s dt);
           Some v))
-    | _ -> miss ())
+    | None -> miss ())
 
-let add ?skey ?spayload t key v =
+let add ?spayload t key v =
   let tap =
     locked t (fun () ->
         sweep_if_full t;
@@ -185,8 +193,8 @@ let add ?skey ?spayload t key v =
         t.tap)
   in
   (* write-behind: the store buffers and batches its own disk writes *)
-  match (tap, skey, spayload) with
-  | Some tap, Some skey, Some payload -> Store.add tap.tap_store ~key:skey payload
+  match (tap, spayload) with
+  | Some tap, Some payload -> Store.add tap.tap_store ~key:(key_text key) payload
   | _ -> ()
 
 let note_tier1 t ~hit ~seconds =

@@ -17,7 +17,7 @@
 
     An optional disk-backed tier ({!Veriopt_store.Store}, attached via
     {!attach_store}) turns the memo into a read-through/write-behind cache:
-    a memory miss with a store key consults the shared on-disk store (a hit
+    a memory miss consults the shared on-disk store under {!key_text} (a hit
     is promoted into the current generation, counted as a cache hit, and
     rolls the admission-price EWMAs with its near-zero lookup latency), and
     an insert with a serialized payload is buffered for append.  A store
@@ -30,11 +30,6 @@ type key = {
   tgt : string;  (** canonical target function text *)
   unroll : int;
   max_conflicts : int;
-  reduce : bool;  (** clause-DB reduction knob — a budget parameter, so part
-                      of the key: [Unknown] verdicts depend on it *)
-  incremental : bool;
-      (** iterative-deepening knob — like [reduce], a budget/trajectory
-          parameter: resource-exhaustion verdicts depend on it *)
   portfolio : int;
       (** portfolio width — a trajectory parameter: which member concludes
           (and whether anyone does within budget) depends on it *)
@@ -43,6 +38,11 @@ type key = {
           ({!Veriopt_smt.Sat.describe_config}): seed and schedule changes
           must not alias cache entries *)
 }
+
+val key_text : key -> string
+(** The disk store's content address for a key: its fields joined by NUL,
+    with the three integer knobs rendered as one
+    [u=<unroll>;c=<max_conflicts>;p=<portfolio>] segment. *)
 
 type stats = {
   hits : int;
@@ -79,16 +79,15 @@ val attach_store :
 val store : 'v t -> Veriopt_store.Store.t option
 (** The attached disk tier, if any (for stats and shutdown flushing). *)
 
-val find : ?skey:string -> 'v t -> key -> 'v option
+val find : 'v t -> key -> 'v option
 (** A hit in the old generation re-inserts the entry into the current one.
-    On a memory miss, [skey] (the caller's content-addressed store key)
-    consults the attached store; a decodable store hit counts as a cache
-    hit. *)
+    On a memory miss, an attached store is consulted under {!key_text}; a
+    decodable store hit counts as a cache hit. *)
 
-val add : ?skey:string -> ?spayload:string -> 'v t -> key -> 'v -> unit
-(** Insert into the current generation; when a store is attached and both
-    [skey] and [spayload] are given, also buffer the serialized entry for
-    write-behind append. *)
+val add : ?spayload:string -> 'v t -> key -> 'v -> unit
+(** Insert into the current generation; when a store is attached and
+    [spayload] is given, also buffer the serialized entry under {!key_text}
+    for write-behind append. *)
 
 val note_tier1 : 'v t -> hit:bool -> seconds:float -> unit
 val note_tier2 : 'v t -> seconds:float -> unit

@@ -17,7 +17,7 @@ let parse_pair src_text tgt_text =
   let tgt = List.hd (Parser.parse_module tgt_text).Ast.funcs in
   (m, src, tgt)
 
-(* Data-dependent-exit mul-accumulate loop (the incr-bench hostile shape):
+(* Data-dependent-exit mul-accumulate loop (the iterative-deepening hostile shape):
    %z iterations of s <- (s * y) + k.  Commuting the mul keeps it
    equivalent; the verifier must re-prove commutativity per unrolled
    frame. *)

@@ -1,8 +1,8 @@
 (** Deterministic hostile-mix query generation for serving-layer load tests.
 
-    Mirrors the shapes the SAT and incremental benches established as
-    adversarial — bit-blasted mul commutativity and data-dependent-exit
-    mul-accumulate loops — salted with per-index constants so a long arrival
+    Mirrors the shapes the solver's clause-DB and iterative-deepening A/Bs
+    established as adversarial — bit-blasted mul commutativity and
+    data-dependent-exit mul-accumulate loops — salted with per-index constants so a long arrival
     stream keeps producing genuinely distinct verification work instead of
     collapsing into the verdict cache, plus cheap equivalent and
     tier-1-refutable wrong pairs for variety.  Everything is derived from

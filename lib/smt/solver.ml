@@ -130,13 +130,12 @@ module Fault = Veriopt_fault.Fault
    folds the per-call counter deltas into the process-wide atomics, and
    wraps a [Sat] result in model closures over the context.  [assumptions]
    are raw SAT literals (already blasted). *)
-let solve_ctx ~max_conflicts ?deadline ~reduce ?(assumptions = []) (ctx : Bitblast.ctx) :
-    outcome =
+let solve_ctx ~max_conflicts ?deadline ?(assumptions = []) (ctx : Bitblast.ctx) : outcome =
   let sat = ctx.Bitblast.sat in
   let c0, d0, p0 = Sat.stats sat in
   let r0 = Sat.restarts sat in
   let db0 = Sat.db_stats sat in
-  let result = Sat.solve ~max_conflicts ?deadline ~reduce ~assumptions sat in
+  let result = Sat.solve ~max_conflicts ?deadline ~assumptions sat in
   let c1, d1, p1 = Sat.stats sat in
   let db1 = Sat.db_stats sat in
   bump s_checks 1;
@@ -166,12 +165,9 @@ let solve_ctx ~max_conflicts ?deadline ~reduce ?(assumptions = []) (ctx : Bitbla
 
 (** Decide [/\ assertions].  [max_conflicts] is the conflict-count budget;
     [deadline] is an absolute wall-clock instant checked in the SAT loop
-    alongside it.  Exhausting either yields [Unknown].  [reduce] (default
-    on) is the learned-clause-DB reduction knob, forwarded to {!Sat.solve}
-    so differential harnesses can diff the two trajectories.  [config]
+    alongside it.  Exhausting either yields [Unknown].  [config]
     diversifies the underlying solver (portfolio members). *)
-let check ?(max_conflicts = 200_000) ?deadline ?(reduce = true) ?config
-    (assertions : Expr.t list) : outcome =
+let check ?(max_conflicts = 200_000) ?deadline ?config (assertions : Expr.t list) : outcome =
   let expired () =
     match deadline with None -> false | Some d -> Unix.gettimeofday () > d
   in
@@ -190,7 +186,7 @@ let check ?(max_conflicts = 200_000) ?deadline ?(reduce = true) ?config
   else begin
     let ctx = Bitblast.create ?config () in
     List.iter (Bitblast.assert_term ctx) assertions;
-    solve_ctx ~max_conflicts ?deadline ~reduce ctx
+    solve_ctx ~max_conflicts ?deadline ctx
   end
 
 (* ------------------------------------------------------------------ *)
@@ -208,11 +204,11 @@ let check ?(max_conflicts = 200_000) ?deadline ?(reduce = true) ?config
 
 type probe = { pctx : Bitblast.ctx }
 
-let probe_check ?(max_conflicts = 200_000) ?deadline ?(reduce = true) ?config
-    (assertions : Expr.t list) : probe * outcome =
+let probe_check ?(max_conflicts = 200_000) ?deadline ?config (assertions : Expr.t list) :
+    probe * outcome =
   let ctx = Bitblast.create ?config () in
   List.iter (Bitblast.assert_term ctx) assertions;
-  let o = solve_ctx ~max_conflicts ?deadline ~reduce ctx in
+  let o = solve_ctx ~max_conflicts ?deadline ctx in
   ({ pctx = ctx }, o)
 
 let probe_top_vars (p : probe) k = Sat.top_vars p.pctx.Bitblast.sat k
@@ -221,14 +217,14 @@ let probe_add_units (p : probe) (units : int list) =
   List.iter (fun l -> Sat.add_clause p.pctx.Bitblast.sat [ l ]) units
 
 let probe_resolve ?(max_conflicts = 10_000) ?deadline (p : probe) : outcome =
-  solve_ctx ~max_conflicts ?deadline ~reduce:true p.pctx
+  solve_ctx ~max_conflicts ?deadline p.pctx
 
 (** Decide [/\ assertions] under a cube of raw assumption literals, and
     return the level-0 unit literals learned along the way (global
     consequences of the clause DB, safe to merge at the join).  Out-of-range
     cube literals — a blast mismatch between planner and worker — degrade to
     [Unknown] rather than crash. *)
-let check_cube ?(max_conflicts = 200_000) ?deadline ?(reduce = true) ?config ~(cube : int list)
+let check_cube ?(max_conflicts = 200_000) ?deadline ?config ~(cube : int list)
     (assertions : Expr.t list) : outcome * int list =
   let expired () =
     match deadline with None -> false | Some d -> Unix.gettimeofday () > d
@@ -253,7 +249,7 @@ let check_cube ?(max_conflicts = 200_000) ?deadline ?(reduce = true) ?config ~(c
       (Unknown, [])
     end
     else
-      let o = solve_ctx ~max_conflicts ?deadline ~reduce ~assumptions:cube ctx in
+      let o = solve_ctx ~max_conflicts ?deadline ~assumptions:cube ctx in
       (o, Sat.implied_units sat)
   end
 
@@ -294,8 +290,7 @@ module Session = struct
       Bitblast.assert_term t.ctx e
     end
 
-  let check ?(max_conflicts = 200_000) ?deadline ?(reduce = true)
-      ?(assumptions : Expr.t list = []) t : outcome =
+  let check ?(max_conflicts = 200_000) ?deadline ?(assumptions : Expr.t list = []) t : outcome =
     alive t;
     let expired () =
       match deadline with None -> false | Some d -> Unix.gettimeofday () > d
@@ -316,9 +311,7 @@ module Session = struct
       (* Blasting the assumption terms may add definitional clauses — that
          is fine, Tseitin definitions are satisfiable extensions. *)
       let assumption_lits = List.map (Bitblast.blast_bool t.ctx) assumptions in
-      let result =
-        Sat.solve ~max_conflicts ?deadline ~reduce ~assumptions:assumption_lits sat
-      in
+      let result = Sat.solve ~max_conflicts ?deadline ~assumptions:assumption_lits sat in
       let c1, d1, p1 = Sat.stats sat in
       let db1 = Sat.db_stats sat in
       t.conflicts_used <- t.conflicts_used + (c1 - c0);
@@ -359,8 +352,8 @@ end
 
 (** [valid t] checks that [t] is true under all assignments; on failure the
     model witnesses the violation. *)
-let valid ?max_conflicts ?deadline ?reduce (t : Expr.t) : outcome =
-  match check ?max_conflicts ?deadline ?reduce [ Expr.not_ t ] with
+let valid ?max_conflicts ?deadline (t : Expr.t) : outcome =
+  match check ?max_conflicts ?deadline [ Expr.not_ t ] with
   | Sat m -> Sat m (* counterexample *)
   | Unsat -> Unsat (* valid *)
   | Unknown -> Unknown

@@ -46,7 +46,6 @@ val absorb : stats -> unit
 val check :
   ?max_conflicts:int ->
   ?deadline:float ->
-  ?reduce:bool ->
   ?config:Sat.config ->
   Expr.t list ->
   outcome
@@ -54,10 +53,10 @@ val check :
     conflict-count resource budget; [deadline] is an absolute
     [Unix.gettimeofday] instant checked in the SAT loop alongside it.
     Exceeding either yields [Unknown], so a hostile query can exhaust at
-    most its budget — it can never hang the caller.  [reduce] (default on)
-    enables learned-clause-DB reduction in the SAT core; it trades search
-    trajectory, never soundness.  [config] diversifies the underlying SAT
-    solver (portfolio members); omitted means {!Sat.default_config}. *)
+    most its budget — it can never hang the caller.  The SAT core always
+    runs with learned-clause-DB reduction on.  [config] diversifies the
+    underlying SAT solver (portfolio members); omitted means
+    {!Sat.default_config}. *)
 
 (** {1 Probes and cubes}
 
@@ -74,7 +73,6 @@ type probe
 val probe_check :
   ?max_conflicts:int ->
   ?deadline:float ->
-  ?reduce:bool ->
   ?config:Sat.config ->
   Expr.t list ->
   probe * outcome
@@ -97,7 +95,6 @@ val probe_resolve : ?max_conflicts:int -> ?deadline:float -> probe -> outcome
 val check_cube :
   ?max_conflicts:int ->
   ?deadline:float ->
-  ?reduce:bool ->
   ?config:Sat.config ->
   cube:int list ->
   Expr.t list ->
@@ -108,7 +105,7 @@ val check_cube :
     "unsatisfiable within this cube" only.  Out-of-range cube literals — a
     blast mismatch between planner and worker — degrade to [Unknown]. *)
 
-val valid : ?max_conflicts:int -> ?deadline:float -> ?reduce:bool -> Expr.t -> outcome
+val valid : ?max_conflicts:int -> ?deadline:float -> Expr.t -> outcome
 (** [valid t]: [Unsat] means [t] holds under all assignments; [Sat m] is a
     counterexample. *)
 
@@ -134,7 +131,6 @@ module Session : sig
   val check :
     ?max_conflicts:int ->
     ?deadline:float ->
-    ?reduce:bool ->
     ?assumptions:Expr.t list ->
     t ->
     outcome

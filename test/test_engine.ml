@@ -223,12 +223,12 @@ let incremental_tests =
     Alcotest.test_case "iterative deepening agrees with single-shot unroll" `Quick (fun () ->
         (* handwritten loop pairs covering every verdict the deepening loop
            can produce, plus a slice of the generated corpus (some samples
-           carry loops): the incremental session must never flip a verdict
-           against the fresh single-shot solve at the full bound *)
+           carry loops): the deepening session must never flip a verdict
+           against the single-shot reference at the full bound *)
         List.iter
           (fun (name, (m, src, tgt)) ->
-            let fresh = A.verify_funcs ~incremental:false m ~src ~tgt in
-            let incr = A.verify_funcs ~incremental:true m ~src ~tgt in
+            let fresh = A.verify_funcs_single_shot m ~src ~tgt in
+            let incr = A.verify_funcs m ~src ~tgt in
             Alcotest.check category name fresh.A.category incr.A.category)
           [
             ("terminating loop", loop_pair ());
@@ -241,16 +241,16 @@ let incremental_tests =
         List.iter
           (fun (s : S.sample) ->
             let fresh =
-              A.verify_funcs ~incremental:false s.S.modul ~src:s.S.src ~tgt:s.S.label
+              A.verify_funcs_single_shot s.S.modul ~src:s.S.src ~tgt:s.S.label
             in
-            let incr = A.verify_funcs ~incremental:true s.S.modul ~src:s.S.src ~tgt:s.S.label in
+            let incr = A.verify_funcs s.S.modul ~src:s.S.src ~tgt:s.S.label in
             Alcotest.check category
               (Printf.sprintf "sample %d" s.S.id)
               fresh.A.category incr.A.category)
           ds.S.samples);
     Alcotest.test_case "deepening verdicts at the default bound" `Quick (fun () ->
         let check name expect (m, src, tgt) =
-          let v = A.verify_funcs ~incremental:true m ~src ~tgt in
+          let v = A.verify_funcs m ~src ~tgt in
           Alcotest.check category name expect v.A.category;
           Alcotest.(check bool) (name ^ " is bounded") true v.A.bounded
         in

@@ -253,8 +253,6 @@ let vcache_tests =
             tgt = "";
             unroll = 4;
             max_conflicts = 1;
-            reduce = true;
-            incremental = true;
             portfolio = 1;
             sat = "s0:luby100:pF";
           }
@@ -286,8 +284,6 @@ let vcache_tests =
             tgt = "";
             unroll = 0;
             max_conflicts = 0;
-            reduce = true;
-            incremental = true;
             portfolio = 1;
             sat = "s0:luby100:pF";
           }

@@ -443,6 +443,11 @@ let fuzz_tests =
             (Engine.store_key ~unroll:5 m ~src:f ~tgt:f <> key);
           Alcotest.(check bool) (Fmt.str "seed %d: budget splits" seed) true
             (Engine.store_key ~max_conflicts:1 m ~src:f ~tgt:f <> key);
+          Alcotest.(check bool) (Fmt.str "seed %d: portfolio width splits" seed) true
+            (Engine.store_key ~portfolio:2 m ~src:f ~tgt:f <> key);
+          Alcotest.(check bool) (Fmt.str "seed %d: sat seed splits" seed) true
+            (let sat = { Veriopt_smt.Sat.default_config with seed = seed + 1 } in
+             Engine.store_key ~sat m ~src:f ~tgt:f <> key);
           (* non-collision: if the oracle can tell the mutant apart, the
              keys must differ; if the keys collide, the oracle must not *)
           let key_mut = Engine.store_key m ~src:f ~tgt:fm in

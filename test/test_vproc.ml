@@ -439,9 +439,9 @@ let engine_tests =
         Alcotest.check category "refuted pair" A.Semantic_error bad.A.category);
     Alcotest.test_case "incremental deepening through the worker matches in-process" `Quick
       (fun () ->
-        (* the marshalled request carries the incremental flag; the worker's
-           deepening session must agree with a fresh in-process single-shot
-           solve at the full bound on every loop verdict *)
+        (* the worker runs the same deepening schedule as the in-process
+           path; it must agree with the in-process single-shot reference
+           ([Alive.verify_funcs_single_shot]) on every loop verdict *)
         let e = Engine.create ~tier1_samples:0 ~isolate:Engine.Proc () in
         if Engine.isolate e <> Engine.Proc then
           (* fork refused: the fallback IS the in-process backend, nothing
@@ -450,8 +450,8 @@ let engine_tests =
         else
           List.iter
             (fun (name, (m, src, tgt)) ->
-              let fresh = A.verify_funcs ~incremental:false m ~src ~tgt in
-              let proc = Engine.verify_funcs ~incremental:true e m ~src ~tgt in
+              let fresh = A.verify_funcs_single_shot m ~src ~tgt in
+              let proc = Engine.verify_funcs e m ~src ~tgt in
               Alcotest.check category name fresh.A.category proc.A.category)
             [
               ("terminating loop", loop_pair ());
@@ -517,7 +517,7 @@ let engine_tests =
               (* loop pairs go through the same race plumbing *)
               List.iter
                 (fun (name, (lm, lsrc, ltgt)) ->
-                  let fresh = A.verify_funcs ~incremental:false lm ~src:lsrc ~tgt:ltgt in
+                  let fresh = A.verify_funcs_single_shot lm ~src:lsrc ~tgt:ltgt in
                   let raced = Engine.verify_funcs e lm ~src:lsrc ~tgt:ltgt in
                   Alcotest.check category name fresh.A.category raced.A.category)
                 [ ("terminating loop", loop_pair ()); ("wrong constant", loop_pair ~ret:4 ()) ];
