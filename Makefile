@@ -1,4 +1,4 @@
-.PHONY: all build test bench micro verify-bench chaos-bench proc-bench portfolio-bench serve-bench store-bench adv-bench fold-bench fuzz check clean
+.PHONY: all build test bench micro verify-bench chaos-bench proc-bench serve-bench store-bench adv-bench fold-bench fuzz check clean
 
 all: build
 
@@ -34,14 +34,6 @@ chaos-bench: build
 proc-bench: build
 	dune exec bench/main.exe -- proc-bench
 
-# Diversified SAT portfolio + cube-and-conquer racing across the fork
-# pool: four configs per hostile query, first conclusive verdict wins,
-# losers SIGKILLed, inconclusive probes split into cubes on the top VSIDS
-# variables.  Writes machine-readable BENCH_portfolio.json; exits non-zero
-# on a conclusive-verdict flip or an orphaned worker.
-portfolio-bench: build
-	dune exec bench/main.exe -- portfolio-bench
-
 # The serving layer under open-loop overload: calibrate sustainable
 # throughput, then replay 2x that rate with chaos faults (worker kills,
 # spurious queue-full, client disconnects, stalled dispatchers).  Every
@@ -52,7 +44,8 @@ serve-bench: build
 	dune exec bench/serve_bench.exe
 
 # The shared disk-backed verdict store: cold fill vs warm rerun on a
-# repeated-group workload (verbatim + alpha-renamed twins).  Writes
+# repeated-group workload (verbatim + alpha-renamed twins), including two
+# i5 mul-reassociation pairs that need real CDCL search.  Writes
 # machine-readable BENCH_store.json; exits non-zero if the warm rerun is
 # below 3x faster, disagrees on any verdict, serves a corrupt entry, or
 # leaks a worker.
@@ -84,14 +77,15 @@ fuzz: build
 	VERIOPT_FUZZ_N=50000 dune exec test/test_main.exe -- test sat-fuzz
 	VERIOPT_FUZZ_N=50000 dune exec test/test_main.exe -- test smt
 
-# The full gate: build, unit tests, a longer fuzz pass, chaos smoke, and
-# the hostile-query kill sweep through the forked-worker backend.
+# The full gate: build, unit tests, a longer fuzz pass, then the standing
+# benches: chaos, the hostile-query kill sweep through the forked-worker
+# backend, the verdict store, the fold engine, serving under overload and
+# the adversarial miner.
 check: build
 	dune runtest
 	VERIOPT_FUZZ_N=20000 dune exec test/test_main.exe -- test sat-fuzz
 	dune exec bench/main.exe -- robust-bench
 	dune exec bench/main.exe -- proc-bench
-	dune exec bench/main.exe -- portfolio-bench
 	dune exec bench/main.exe -- store-bench
 	dune exec bench/main.exe -- fold-bench
 	dune exec bench/serve_bench.exe

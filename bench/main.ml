@@ -8,8 +8,8 @@
      dune exec bench/main.exe -- --full all   -- paper-sized counts (slow)
 
    Experiments: dataset table1 table2 table3 fig4 fig5 fig6 fig7 figs8to12
-   ablations discussion verify-bench robust-bench proc-bench
-   portfolio-bench store-bench fold-bench micro all. *)
+   ablations discussion verify-bench robust-bench proc-bench store-bench
+   fold-bench micro all. *)
 
 module P = Veriopt.Pipeline
 module E = Veriopt.Evaluate
@@ -747,231 +747,6 @@ let run_proc_bench () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* portfolio-bench: diversified SAT portfolio + cube-and-conquer racing.
-
-   The workload is the SMT-hostile shape of this codebase: mul
-   reassociation, algebraically trivial and brutal bit-blasted, as flat
-   pairs at growing widths plus a mul-chain loop pair, with one deliberately
-   wrong pair so the counterexample path races too.  Each pair is verified
-   two ways under the same conflict budget:
-
-   - single: today's solver, one in-process [Alive.verify_funcs] call;
-   - portfolio: [Engine] with [~portfolio:4 ~cube_k:2] — a 500-conflict
-     parent probe, then four racing legs across the fork pool (cube legs
-     from the probe's top VSIDS variables, diversified full-query members
-     for the rest), first conclusive verdict wins, losers SIGKILLed.
-
-   Conclusive verdicts must agree (flips exit nonzero), no worker may
-   outlive the engine (orphans exit nonzero), and the wall-time speedup,
-   winner-config histogram, cancellation/wasted-work counters and reap
-   promptness land in BENCH_portfolio.json.  Runs before anything spawns a
-   domain so the pool can fork. *)
-
-let run_portfolio_bench () =
-  header "PORTFOLIO-BENCH (diversified SAT racing + cube-and-conquer)";
-  let module Portfolio = Veriopt_smt.Portfolio in
-  let module Engine = Veriopt_alive.Engine in
-  let module Vproc = Veriopt_vproc.Vproc in
-  let portfolio = 4 and cube_k = 2 in
-  let unroll = 4 in
-  (* large enough that every pair below actually concludes in both legs:
-     the speedup is only meaningful when nobody hits the budget *)
-  let max_conflicts = 2_000_000 in
-  (* fork the racing pools first, while the process is still domain-free:
-     one engine for cube-and-conquer, one with cube_k 0 for the
-     pure-portfolio cancellation phase *)
-  let engine =
-    if not (Vproc.available ()) then None
-    else begin
-      let e = Engine.create ~tier1_samples:0 ~portfolio ~cube_k () in
-      if Engine.portfolio e > 1 then
-        Some (e, Engine.create ~tier1_samples:0 ~portfolio ~cube_k:0 ())
-      else begin
-        Engine.shutdown e;
-        None
-      end
-    end
-  in
-  let mul_pair = Veriopt_serve.Workload.assoc_pair in
-  (* the data-dependent-exit loop: %z iterations of s <- s*y*v + 3, with
-     the product reassociated between source and target *)
-  let chain_pair = Veriopt_serve.Workload.assoc_chain_pair in
-  (* the i6 chain is the heavyweight (~2.5 minutes single-solver on a
-     2-core box) and the pair where racing pays; the flat pairs finish in
-     seconds, and flat i7 also climbs past two minutes *)
-  let pairs =
-    [
-      ("mul-assoc-i5", mul_pair 5);
-      ("mul-assoc-i6", mul_pair 6);
-      ("mul-assoc-i6-wrong", mul_pair ~delta:1 6);
-      ("mul-chain-i6", chain_pair 6);
-    ]
-  in
-  let cat_name = function
-    | Alive.Equivalent -> "equivalent"
-    | Alive.Semantic_error -> "semantic_error"
-    | Alive.Syntax_error -> "syntax_error"
-    | Alive.Inconclusive -> "inconclusive"
-  in
-  let conclusive = function Alive.Inconclusive -> false | _ -> true in
-  let run_leg f =
-    let t0 = Unix.gettimeofday () in
-    let verdicts =
-      List.map
-        (fun (name, (m, src, tgt)) ->
-          let t1 = Unix.gettimeofday () in
-          let c = f m src tgt in
-          (name, c, Unix.gettimeofday () -. t1))
-        pairs
-    in
-    (verdicts, Unix.gettimeofday () -. t0)
-  in
-  let single_verdicts, single_secs =
-    run_leg (fun m src tgt ->
-        (Alive.verify_funcs ~unroll ~max_conflicts m ~src ~tgt).Alive.category)
-  in
-  match engine with
-  | None ->
-    Fmt.pf fmt "  fork unavailable or refused; portfolio leg skipped@.";
-    let oc = open_out "BENCH_portfolio.json" in
-    output_string oc {|{ "skipped": true }
-|};
-    close_out oc;
-    Fmt.pf fmt "  wrote BENCH_portfolio.json@."
-  | Some (e, e_pure) ->
-    Portfolio.reset_stats ();
-    Vproc.reset_stats ();
-    let race_verdicts, race_secs =
-      run_leg (fun m src tgt ->
-          (Engine.verify_funcs ~unroll ~max_conflicts e m ~src ~tgt).Alive.category)
-    in
-    (* cancellation phase: with cube_k 0 the probe's failure spawns one
-       whole-query cube leg plus three diversified full-query members; the
-       first to conclude wins and the rest are SIGKILLed mid-flight, which
-       is what pins loser reaping and the reap-promptness ratio *)
-    let pure_t0 = Unix.gettimeofday () in
-    let pure_m, pure_src, pure_tgt = mul_pair 6 in
-    let pure_v =
-      Engine.verify_funcs ~unroll ~max_conflicts e_pure pure_m ~src:pure_src ~tgt:pure_tgt
-    in
-    let pure_secs = Unix.gettimeofday () -. pure_t0 in
-    Engine.shutdown e;
-    Engine.shutdown e_pure;
-    let orphans = Engine.orphans e + Engine.orphans e_pure in
-    let p = Portfolio.stats () in
-    let hist = Portfolio.winner_histogram () in
-    let flips =
-      List.fold_left2
-        (fun n (pair, cs, _) (_, cp, _) ->
-          if conclusive cs && conclusive cp && cs <> cp then begin
-            Fmt.pf fmt "  ERROR: portfolio flip on %s: %s vs %s@." pair (cat_name cs)
-              (cat_name cp);
-            n + 1
-          end
-          else n)
-        0 single_verdicts race_verdicts
-    in
-    Fmt.pf fmt "  %d hostile pairs, %d-conflict budget, portfolio %d, cube_k %d@."
-      (List.length pairs) max_conflicts portfolio cube_k;
-    List.iter2
-      (fun (name, cs, ts) (_, cp, tp) ->
-        Fmt.pf fmt "  %-20s single: %-14s %6.2fs    portfolio: %-14s %6.2fs@." name
-          (cat_name cs) ts (cat_name cp) tp)
-      single_verdicts race_verdicts;
-    let speedup = single_secs /. if race_secs <= 0. then epsilon_float else race_secs in
-    Fmt.pf fmt "  wall time: %.2fs single -> %.2fs portfolio (%.2fx); flips: %d@." single_secs
-      race_secs speedup flips;
-    Fmt.pf fmt "  pure race (cube_k 0, mul-assoc-i6): %s in %.2fs@."
-      (cat_name pure_v.Alive.category) pure_secs;
-    Fmt.pf fmt
-      "  %d races (%d full-member wins, %d cube splits, %d cube cex, %d cube refutations, %d \
-       join refutations)@."
-      p.Portfolio.races p.Portfolio.race_wins p.Portfolio.cube_splits p.Portfolio.cube_cex
-      p.Portfolio.cube_refutations p.Portfolio.join_refutations;
-    Fmt.pf fmt
-      "  %d losers cancelled, %d conflicts wasted, %d units merged, reap ratio max %.2f, %d \
-       orphans@."
-      p.Portfolio.losers_cancelled p.Portfolio.wasted_conflicts p.Portfolio.units_merged
-      p.Portfolio.reap_ratio_max orphans;
-    (match hist with
-    | [] -> ()
-    | _ ->
-      Fmt.pf fmt "  winners: %s@."
-        (String.concat ", " (List.map (fun (l, n) -> Fmt.str "%s:%d" l n) hist)));
-    let leg_json verdicts secs =
-      let per_query =
-        String.concat ", "
-          (List.map
-             (fun (name, c, t) ->
-               Fmt.str {|{ "pair": "%s", "verdict": "%s", "seconds": %.4f }|} name (cat_name c)
-                 t)
-             verdicts)
-      in
-      Fmt.str {|{ "seconds": %.4f, "queries": [ %s ] }|} secs per_query
-    in
-    let hist_json =
-      String.concat ", " (List.map (fun (l, n) -> Fmt.str {|"%s": %d|} l n) hist)
-    in
-    let json =
-      Fmt.str
-        {|{
-  "portfolio": %d,
-  "cube_k": %d,
-  "max_conflicts": %d,
-  "single": %s,
-  "portfolio_leg": %s,
-  "pure_race": { "pair": "mul-assoc-i6", "verdict": "%s", "seconds": %.4f },
-  "speedup": %.3f,
-  "conclusive_flips": %d,
-  "races": %d,
-  "race_wins": %d,
-  "cube_splits": %d,
-  "cube_cex": %d,
-  "cube_refutations": %d,
-  "join_refutations": %d,
-  "losers_cancelled": %d,
-  "wasted_conflicts": %d,
-  "units_merged": %d,
-  "reap_ratio_max": %.3f,
-  "winner_hist": { %s },
-  "orphans": %d
-}
-|}
-        portfolio cube_k max_conflicts
-        (leg_json single_verdicts single_secs)
-        (leg_json race_verdicts race_secs)
-        (cat_name pure_v.Alive.category)
-        pure_secs speedup flips p.Portfolio.races p.Portfolio.race_wins p.Portfolio.cube_splits
-        p.Portfolio.cube_cex p.Portfolio.cube_refutations p.Portfolio.join_refutations
-        p.Portfolio.losers_cancelled p.Portfolio.wasted_conflicts p.Portfolio.units_merged
-        p.Portfolio.reap_ratio_max hist_json orphans
-    in
-    let oc = open_out "BENCH_portfolio.json" in
-    output_string oc json;
-    close_out oc;
-    Fmt.pf fmt "  wrote BENCH_portfolio.json@.";
-    if speedup < 1.5 then
-      Fmt.pf fmt "  WARNING: portfolio speedup %.2fx below the 1.5x target@." speedup;
-    if p.Portfolio.losers_cancelled = 0 then
-      Fmt.pf fmt "  WARNING: no race cancelled a loser (every member finished together?)@.";
-    if p.Portfolio.reap_ratio_max > 1.5 then
-      Fmt.pf fmt "  WARNING: losers outlived a winner %.2fx past its finish (1.5x target)@."
-        p.Portfolio.reap_ratio_max;
-    if conclusive pure_v.Alive.category && pure_v.Alive.category <> Alive.Equivalent then begin
-      Fmt.pf fmt "  ERROR: the pure race flipped mul-assoc-i6 to %s@."
-        (cat_name pure_v.Alive.category);
-      exit 1
-    end;
-    if orphans > 0 then begin
-      Fmt.pf fmt "  ERROR: %d workers outlived the engine shutdown@." orphans;
-      exit 1
-    end;
-    if flips > 0 then begin
-      Fmt.pf fmt "  ERROR: the portfolio flipped a conclusive verdict@.";
-      exit 1
-    end
-
-(* ------------------------------------------------------------------ *)
 (* The disk-backed verdict store: cold fill vs warm rerun on a
    repeated-group workload.  Gates: warm >= 3x faster, 100% verdict
    agreement, zero corrupt entries served, zero orphans.
@@ -992,14 +767,21 @@ let run_store_bench () =
   else Unix.mkdir dir 0o755;
   (* a repeated-group stream: each distinct query appears three times, once
      verbatim and twice alpha-renamed — the shape GRPO groups and serve
-     replicas actually produce *)
-  let n_distinct = 14 in
+     replicas actually produce.  The two i5 mul-reassociation pairs (one
+     equivalent, one off by one) are the ones that need real CDCL search,
+     so the cold fill measures the store against solver work rather than
+     timer noise. *)
+  let assoc ~label (m, src, tgt) = Workload.of_pair ~label m ~src ~tgt in
+  let distinct =
+    List.init 14 (fun i -> Workload.make ~seed:21 ~index:i)
+    @ [
+        assoc ~label:"mul-assoc-i5" (Workload.assoc_pair 5);
+        assoc ~label:"mul-assoc-i5-wrong" (Workload.assoc_pair ~delta:1 5);
+      ]
+  in
+  let n_distinct = List.length distinct in
   let queries =
-    List.concat_map
-      (fun i ->
-        let q = Workload.make ~seed:21 ~index:i in
-        [ q; Workload.alpha_variant q; Workload.alpha_variant q ])
-      (List.init n_distinct Fun.id)
+    List.concat_map (fun q -> [ q; Workload.alpha_variant q; Workload.alpha_variant q ]) distinct
   in
   let cat_name = function
     | Alive.Equivalent -> "equivalent"
@@ -1358,18 +1140,16 @@ let () =
      and must not pay for (or pollute) the full training pipeline *)
   let standalone =
     [
-      "micro"; "verify-bench"; "robust-bench"; "proc-bench"; "portfolio-bench"; "store-bench";
-      "fold-bench";
+      "micro"; "verify-bench"; "robust-bench"; "proc-bench"; "store-bench"; "fold-bench";
     ]
   in
   let needs_evals =
     List.mem "all" experiments
     || List.exists (fun x -> not (List.mem x standalone)) experiments
   in
-  (* proc-bench and portfolio-bench first: they fork worker pools, which
-     OCaml 5 only permits before any other leg has spawned a domain *)
+  (* proc-bench first: it forks a worker pool, which OCaml 5 only permits
+     before any other leg has spawned a domain *)
   if wants "proc-bench" then run_proc_bench ();
-  if wants "portfolio-bench" then run_portfolio_bench ();
   if wants "store-bench" then run_store_bench ();
   if wants "fold-bench" then run_fold_bench ();
   if needs_evals then begin

@@ -67,25 +67,6 @@ let verify_cmd =
             "Verification wall-clock budget; past it the verdict is inconclusive (under \
              $(b,--isolate proc) the worker is SIGKILLed if it overruns)")
   in
-  let portfolio =
-    Arg.(
-      value & opt int 1
-      & info [ "portfolio" ] ~docv:"N"
-          ~doc:
-            "Race $(docv) diversified SAT configurations across a forked worker pool \
-             (implies $(b,--isolate proc)); the first conclusive member wins and the \
-             losers are SIGKILLed.  Affects wall time, never verdicts.  Also selectable \
-             via VERIOPT_PORTFOLIO; cube splitting depth via VERIOPT_CUBE_K")
-  in
-  let sat_seed =
-    Arg.(
-      value & opt int 0
-      & info [ "sat-seed" ] ~docv:"SEED"
-          ~doc:
-            "Base random seed for the SAT solver's tie-breaking and phase choices (0, the \
-             default, is bit-identical to the unseeded solver); portfolio members derive \
-             their seeds from it")
-  in
   let store =
     Arg.(
       value
@@ -96,16 +77,13 @@ let verify_cmd =
              without re-verifying, fresh cacheable verdicts are appended for later runs.  \
              Also selectable via VERIOPT_STORE")
   in
-  let run file unroll sat_stats isolate timeout portfolio sat_seed store =
+  let run file unroll sat_stats isolate timeout store =
     let m = load_module file in
     match m.Veriopt_ir.Ast.funcs with
     | [ src; tgt ] | src :: tgt :: _ ->
       let module Solver = Veriopt_smt.Solver in
-      let module Sat = Veriopt_smt.Sat in
-      let module Portfolio = Veriopt_smt.Portfolio in
       Solver.reset_stats ();
       let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout in
-      let sat = { Sat.default_config with Sat.seed = sat_seed } in
       (* the env form must also route through the engine, or the default
          in-process path would silently bypass the store *)
       let store =
@@ -130,37 +108,16 @@ let verify_cmd =
           (fun () -> f e)
       in
       let v =
-        if portfolio > 1 then
-          (* tier 1 off: every verdict here comes from the racing SMT path *)
-          with_engine (Veriopt_alive.Engine.create ~tier1_samples:0 ~portfolio ?store ())
-            (fun e ->
-              Veriopt_alive.Engine.verify_funcs ~unroll ?deadline ~sat e m ~src ~tgt)
-        else
-          match (isolate, store) with
-          | Veriopt_alive.Engine.Domains, None ->
-            Alive.verify_funcs ~unroll ?deadline ~sat m ~src ~tgt
-          | iso, store ->
-            (* tier 1 off so the verdict comes from the same SMT path as the
-               direct call above, just behind the process boundary (and/or
-               through the mounted verdict store) *)
-            with_engine (Veriopt_alive.Engine.create ~tier1_samples:0 ~isolate:iso ?store ())
-              (fun e ->
-                Veriopt_alive.Engine.verify_funcs ~unroll ?deadline ~sat e m ~src ~tgt)
+        match (isolate, store) with
+        | Veriopt_alive.Engine.Domains, None -> Alive.verify_funcs ~unroll ?deadline m ~src ~tgt
+        | iso, store ->
+          (* tier 1 off so the verdict comes from the same SMT path as the
+             direct call above, just behind the process boundary (and/or
+             through the mounted verdict store) *)
+          with_engine (Veriopt_alive.Engine.create ~tier1_samples:0 ~isolate:iso ?store ())
+            (fun e -> Veriopt_alive.Engine.verify_funcs ~unroll ?deadline e m ~src ~tgt)
       in
       Fmt.pr "%s@.%s@." (category_string v.Alive.category) v.Alive.message;
-      if sat_stats && portfolio > 1 then begin
-        let p = Portfolio.stats () in
-        Fmt.epr
-          "portfolio: %d races (%d full-member wins), %d cube splits, %d cube cex, %d cube \
-           refutations, %d join refutations@."
-          p.Portfolio.races p.Portfolio.race_wins p.Portfolio.cube_splits p.Portfolio.cube_cex
-          p.Portfolio.cube_refutations p.Portfolio.join_refutations;
-        Fmt.epr "portfolio: %d losers cancelled, %d wasted conflicts, %d units merged@."
-          p.Portfolio.losers_cancelled p.Portfolio.wasted_conflicts p.Portfolio.units_merged;
-        List.iter
-          (fun (label, n) -> Fmt.epr "portfolio-winner: %s: %d@." label n)
-          (Portfolio.winner_histogram ())
-      end;
       if sat_stats then begin
         let s = Solver.stats () in
         Fmt.epr "sat: %d checks, %d conflicts, %d decisions, %d propagations, %d restarts@."
@@ -189,7 +146,7 @@ let verify_cmd =
   Cmd.v
     (Cmd.info "verify" ~doc:"Check that the second function of FILE.ll refines the first")
     Term.(
-      const run $ file $ unroll $ sat_stats $ isolate $ timeout $ portfolio $ sat_seed $ store)
+      const run $ file $ unroll $ sat_stats $ isolate $ timeout $ store)
 
 let opt_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.ll") in

@@ -151,12 +151,12 @@ let encode_pair ~unroll m ~src ~tgt =
   (s_sum, t_sum)
 
 (* Single-shot: encode both sides at the full bound, one fresh solve. *)
-let solve_single_shot ~unroll ~max_conflicts ?deadline ?sat ~bounded ~copy m ~src ~tgt =
+let solve_single_shot ~unroll ~max_conflicts ?deadline ~bounded ~copy m ~src ~tgt =
   match encode_pair ~unroll m ~src ~tgt with
   | exception Encode.Unsupported reason ->
     verdict ~bounded ~copy Inconclusive (Diagnostics.inconclusive_message reason)
   | s_sum, t_sum -> (
-    match Refine.check ~max_conflicts ?deadline ?sat s_sum t_sum with
+    match Refine.check ~max_conflicts ?deadline s_sum t_sum with
     | exception Encode.Unsupported reason ->
       verdict ~bounded ~copy Inconclusive (Diagnostics.inconclusive_message reason)
     | Refine.Refines -> verdict ~bounded ~copy Equivalent (Diagnostics.equivalent_message ~bounded)
@@ -181,8 +181,8 @@ let solve_single_shot ~unroll ~max_conflicts ?deadline ?sat ~bounded ~copy m ~sr
      the final depth's answer is authoritative.
    The conflict budget is shared by the whole schedule: each check gets
    what the earlier depths left over. *)
-let solve_deepening ~unroll ~max_conflicts ?deadline ?sat ~bounded ~copy m ~src ~tgt =
-  let sess = Refine.session_create ?sat () in
+let solve_deepening ~unroll ~max_conflicts ?deadline ~bounded ~copy m ~src ~tgt =
+  let sess = Refine.session_create () in
   Fun.protect ~finally:(fun () -> Refine.session_release sess) @@ fun () ->
   let rec deepen = function
     | [] -> assert false
@@ -219,7 +219,7 @@ let solve_deepening ~unroll ~max_conflicts ?deadline ?sat ~bounded ~copy m ~src 
   in
   deepen (unroll_schedule unroll)
 
-let verify_pair ~deepen ~unroll ~max_conflicts ?deadline ?sat (m : Ast.modul) ~(src : Ast.func)
+let verify_pair ~deepen ~unroll ~max_conflicts ?deadline (m : Ast.modul) ~(src : Ast.func)
     ~(tgt : Ast.func) : verdict =
   if not (signature_matches src tgt) then signature_verdict
   else
@@ -228,107 +228,18 @@ let verify_pair ~deepen ~unroll ~max_conflicts ?deadline ?sat (m : Ast.modul) ~(
     (* acyclic pairs always solve once: unrolling is the identity on them,
        so a depth schedule would re-solve the same query *)
     if deepen && bounded && unroll > 1 then
-      solve_deepening ~unroll ~max_conflicts ?deadline ?sat ~bounded ~copy m ~src ~tgt
-    else solve_single_shot ~unroll ~max_conflicts ?deadline ?sat ~bounded ~copy m ~src ~tgt
+      solve_deepening ~unroll ~max_conflicts ?deadline ~bounded ~copy m ~src ~tgt
+    else solve_single_shot ~unroll ~max_conflicts ?deadline ~bounded ~copy m ~src ~tgt
 
 (** Verify that [tgt] refines [src] within [m].  Both functions must already
     be well-formed (callers should route model-produced text through
     {!verify_text}). *)
-let verify_funcs ?(unroll = 4) ?(max_conflicts = 200_000) ?deadline ?sat m ~src ~tgt =
-  verify_pair ~deepen:true ~unroll ~max_conflicts ?deadline ?sat m ~src ~tgt
+let verify_funcs ?(unroll = 4) ?(max_conflicts = 200_000) ?deadline m ~src ~tgt =
+  verify_pair ~deepen:true ~unroll ~max_conflicts ?deadline m ~src ~tgt
 
-let verify_funcs_single_shot ?(unroll = 4) ?(max_conflicts = 200_000) ?deadline ?sat m ~src
+let verify_funcs_single_shot ?(unroll = 4) ?(max_conflicts = 200_000) ?deadline m ~src
     ~tgt =
-  verify_pair ~deepen:false ~unroll ~max_conflicts ?deadline ?sat m ~src ~tgt
-
-(* ------------------------------------------------------------------ *)
-(* Cube-and-conquer entry points (the engine's portfolio tier-2 path).
-
-   The parent runs [cube_probe] on a small conflict budget; a conclusive
-   probe is a verdict outright, an inconclusive one yields a plan whose
-   cubes are raced across worker processes, each running
-   [verify_funcs_cube].  Every worker re-encodes the same pair at the same
-   single-shot full bound, so the raw SAT literals in the cubes mean the
-   same variables in every process (structural blast order). *)
-
-type cube_outcome = Cube_refines | Cube_cex of verdict | Cube_unknown
-
-let verify_funcs_cube ?(unroll = 4) ?(max_conflicts = 200_000) ?deadline ?sat ~cube
-    (m : Ast.modul) ~(src : Ast.func) ~(tgt : Ast.func) : cube_outcome * int list =
-  let copy = Builder.alpha_equal src tgt in
-  if not (signature_matches src tgt) then (Cube_unknown, [])
-  else
-    let bounded = Cfg.has_loop (Cfg.of_func src) || Cfg.has_loop (Cfg.of_func tgt) in
-    match encode_pair ~unroll m ~src ~tgt with
-    | exception Encode.Unsupported _ -> (Cube_unknown, [])
-    | s_sum, t_sum -> (
-      match Refine.check_cube ~max_conflicts ?deadline ?sat ~cube s_sum t_sum with
-      | exception Encode.Unsupported _ -> (Cube_unknown, [])
-      | Refine.Refines, units -> (Cube_refines, units)
-      | Refine.Unknown, units -> (Cube_unknown, units)
-      | Refine.Counterexample model, units ->
-        (* concrete re-validation happens here in the worker, where the live
-           model closures exist; only plain data crosses back to the parent *)
-        let v = counterexample_verdict ~bounded ~copy model m src tgt s_sum t_sum in
-        ((match v.category with Semantic_error -> Cube_cex v | _ -> Cube_unknown), units))
-
-type cube_plan = {
-  plan_probe : Solver.probe;
-  cubes : int list list;  (** the 2^k assumption lists, a partition *)
-  plan_m : Ast.modul;
-  plan_src : Ast.func;
-  plan_tgt : Ast.func;
-  plan_s_sum : Encode.summary;
-  plan_t_sum : Encode.summary;
-  plan_bounded : bool;
-  plan_copy : bool;
-}
-
-let cube_probe ?(unroll = 4) ?(max_conflicts = 500) ?deadline ?sat ~k (m : Ast.modul)
-    ~(src : Ast.func) ~(tgt : Ast.func) : [ `Verdict of verdict | `Split of cube_plan ] =
-  let copy = Builder.alpha_equal src tgt in
-  if not (signature_matches src tgt) then `Verdict signature_verdict
-  else
-    let bounded = Cfg.has_loop (Cfg.of_func src) || Cfg.has_loop (Cfg.of_func tgt) in
-    let inconclusive reason =
-      `Verdict (verdict ~bounded ~copy Inconclusive (Diagnostics.inconclusive_message reason))
-    in
-    match encode_pair ~unroll m ~src ~tgt with
-    | exception Encode.Unsupported reason -> inconclusive reason
-    | s_sum, t_sum -> (
-      match Refine.probe ~max_conflicts ?deadline ?sat s_sum t_sum with
-      | exception Encode.Unsupported reason -> inconclusive reason
-      | _, Refine.Refines ->
-        `Verdict (verdict ~bounded ~copy Equivalent (Diagnostics.equivalent_message ~bounded))
-      | _, Refine.Counterexample model ->
-        `Verdict (counterexample_verdict ~bounded ~copy model m src tgt s_sum t_sum)
-      | probe, Refine.Unknown ->
-        let vars = Refine.probe_top_vars probe k in
-        `Split
-          {
-            plan_probe = probe;
-            cubes = Veriopt_smt.Portfolio.cube_lits ~vars;
-            plan_m = m;
-            plan_src = src;
-            plan_tgt = tgt;
-            plan_s_sum = s_sum;
-            plan_t_sum = t_sum;
-            plan_bounded = bounded;
-            plan_copy = copy;
-          })
-
-let probe_join ?(max_conflicts = 10_000) ?deadline (plan : cube_plan) ~(units : int list) :
-    verdict option =
-  match Refine.probe_join ~max_conflicts ?deadline plan.plan_probe ~units with
-  | Refine.Refines ->
-    Some
-      (verdict ~bounded:plan.plan_bounded ~copy:plan.plan_copy Equivalent
-         (Diagnostics.equivalent_message ~bounded:plan.plan_bounded))
-  | Refine.Counterexample model ->
-    Some
-      (counterexample_verdict ~bounded:plan.plan_bounded ~copy:plan.plan_copy model plan.plan_m
-         plan.plan_src plan.plan_tgt plan.plan_s_sum plan.plan_t_sum)
-  | Refine.Unknown -> None
+  verify_pair ~deepen:false ~unroll ~max_conflicts ?deadline m ~src ~tgt
 
 (* Tier 0 for model-produced IR text: parse errors and malformed IR map to
    [Syntax_error], as in the paper's Tables I/II. *)
@@ -341,11 +252,11 @@ let parse_target (m : Ast.modul) (text : string) : (Ast.func, verdict) result =
     | Error errors -> syntax_error (String.concat "\n" errors)
     | Ok () -> Ok tgt)
 
-let verify_text ?unroll ?max_conflicts ?deadline ?sat (m : Ast.modul) ~(src : Ast.func)
+let verify_text ?unroll ?max_conflicts ?deadline (m : Ast.modul) ~(src : Ast.func)
     ~(tgt_text : string) : verdict =
   match parse_target m tgt_text with
   | Error v -> v
-  | Ok tgt -> verify_funcs ?unroll ?max_conflicts ?deadline ?sat m ~src ~tgt
+  | Ok tgt -> verify_funcs ?unroll ?max_conflicts ?deadline m ~src ~tgt
 
 (* Bump when the verdict taxonomy or the tier-1 concrete re-validation
    changes meaning: the disk-backed verdict store keys entry freshness on

@@ -7,7 +7,6 @@ module Fault = Veriopt_fault.Fault
 module Vproc = Veriopt_vproc.Vproc
 module Sat = Veriopt_smt.Sat
 module Solver = Veriopt_smt.Solver
-module Portfolio = Veriopt_smt.Portfolio
 module Store = Veriopt_store.Store
 
 type isolate = Domains | Proc
@@ -88,8 +87,8 @@ let coalesce_key (m : Ast.modul) ~(src : Ast.func) ~(tgt : Ast.func) : string =
    alpha-canonical source/target texts (renamed-but-identical pairs share
    one entry — renumbering preserves semantics, boundedness and
    copy-of-input, so one verdict is sound for the whole alpha class), and
-   every knob that can change a verdict or its budget semantics: unroll,
-   conflict budget, portfolio width and the base SAT config.  The memory
+   every knob that can change a verdict or its budget semantics: unroll
+   and conflict budget.  The memory
    tier and the disk tier share one key ([cache_key]); the disk address is
    its text, {!Vcache.key_text}.  Freshness across code changes is carried by
    the semantics digest: bump any registered [semantics_version] and every
@@ -117,8 +116,8 @@ let semantics_digest_lazy =
 
 let semantics_digest () = Lazy.force semantics_digest_lazy
 
-let cache_key ~unroll ~max_conflicts ~portfolio ~sat (m : Ast.modul) ~(src : Ast.func)
-    ~(tgt : Ast.func) : Vcache.key =
+let cache_key ~unroll ~max_conflicts (m : Ast.modul) ~(src : Ast.func) ~(tgt : Ast.func) :
+    Vcache.key =
   {
     Vcache.ctx = canon Printer.module_to_string m;
     (* alpha-canonical: commuted/renormalized twins hit one entry *)
@@ -126,12 +125,10 @@ let cache_key ~unroll ~max_conflicts ~portfolio ~sat (m : Ast.modul) ~(src : Ast
     tgt = alpha_canon tgt;
     unroll;
     max_conflicts;
-    portfolio;
-    sat = Sat.describe_config (Option.value sat ~default:Sat.default_config);
   }
 
-let store_key ?(unroll = 4) ?(max_conflicts = 200_000) ?(portfolio = 1) ?sat m ~src ~tgt =
-  Vcache.key_text (cache_key ~unroll ~max_conflicts ~portfolio ~sat m ~src ~tgt)
+let store_key ?(unroll = 4) ?(max_conflicts = 200_000) m ~src ~tgt =
+  Vcache.key_text (cache_key ~unroll ~max_conflicts m ~src ~tgt)
 
 (* The stored value: the verdict plus which tier produced it and the
    solver-stats delta the original miss paid — so a warm hit can report
@@ -168,9 +165,7 @@ let worker_store (dir : string) : Store.t option =
 (* The tier-2 query shipped to a forked worker: plain AST values and knobs,
    no closures (Marshal requirement).  The worker runs the same
    [Alive.verify_funcs] as the in-process backend, so a loop pair deepens
-   identically on both sides of the boundary.  [pr_sat] diversifies the worker's SAT
-   solver (portfolio member); [pr_cube] switches the worker to solving one
-   cube of the query as raw assumption literals. *)
+   identically on both sides of the boundary. *)
 type proc_request = {
   pr_m : Ast.modul;
   pr_src : Ast.func;
@@ -178,59 +173,46 @@ type proc_request = {
   pr_unroll : int;
   pr_max_conflicts : int;
   pr_deadline : float option;
-  pr_sat : Sat.config option;
-  pr_cube : int list option;
   pr_store : string option;
       (** verdict-store directory: the worker consults its own read-only
           handle before solving, so a pool shares one warm store *)
 }
 
-(* Every response ships the worker's solver-stats delta for this one call,
-   so the parent can aggregate portfolio members' work — losers included —
-   into its own process-wide counters. *)
-type proc_response =
-  | P_verdict of Alive.verdict * Solver.stats
-  | P_cube of Alive.cube_outcome * int list * Solver.stats
+(* The worker's verdict plus its solver-stats delta for this one call, so
+   the parent can fold the worker's work into its own process-wide
+   counters. *)
+type proc_response = Alive.verdict * Solver.stats
 
 let proc_handler (r : proc_request) : proc_response =
   let before = Solver.stats () in
-  match r.pr_cube with
-  | None -> (
-    (* warm-store short circuit: a full-query worker checks the shared
-       disk store (its own refresh may see entries newer than the
-       parent's) before paying for a solve.  Race legs ship no store —
-       their diversified member keys cannot match parent-written entries. *)
-    let stored_hit =
-      match Option.map worker_store r.pr_store with
-      | Some (Some st) -> (
-        let key =
-          store_key ~unroll:r.pr_unroll ~max_conflicts:r.pr_max_conflicts ?sat:r.pr_sat r.pr_m
-            ~src:r.pr_src ~tgt:r.pr_tgt
-        in
-        match Store.find st ~key with
-        | None -> None
-        | Some payload -> (
-          match store_decode payload with
-          | Some (v, _, _) -> Some v
-          | None ->
-            Store.note_corrupt st;
-            None))
-      | _ -> None
-    in
-    match stored_hit with
-    | Some v -> P_verdict (v, Solver.diff before before)
-    | None ->
-      let v =
-        Alive.verify_funcs ~unroll:r.pr_unroll ~max_conflicts:r.pr_max_conflicts
-          ?deadline:r.pr_deadline ?sat:r.pr_sat r.pr_m ~src:r.pr_src ~tgt:r.pr_tgt
+  (* warm-store short circuit: the worker checks the shared disk store (its
+     own refresh may see entries newer than the parent's) before paying for
+     a solve *)
+  let stored_hit =
+    match Option.map worker_store r.pr_store with
+    | Some (Some st) -> (
+      let key =
+        store_key ~unroll:r.pr_unroll ~max_conflicts:r.pr_max_conflicts r.pr_m ~src:r.pr_src
+          ~tgt:r.pr_tgt
       in
-      P_verdict (v, Solver.diff (Solver.stats ()) before))
-  | Some cube ->
-    let o, units =
-      Alive.verify_funcs_cube ~unroll:r.pr_unroll ~max_conflicts:r.pr_max_conflicts
-        ?deadline:r.pr_deadline ?sat:r.pr_sat ~cube r.pr_m ~src:r.pr_src ~tgt:r.pr_tgt
+      match Store.find st ~key with
+      | None -> None
+      | Some payload -> (
+        match store_decode payload with
+        | Some (v, _, _) -> Some v
+        | None ->
+          Store.note_corrupt st;
+          None))
+    | _ -> None
+  in
+  match stored_hit with
+  | Some v -> (v, Solver.diff before before)
+  | None ->
+    let v =
+      Alive.verify_funcs ~unroll:r.pr_unroll ~max_conflicts:r.pr_max_conflicts
+        ?deadline:r.pr_deadline r.pr_m ~src:r.pr_src ~tgt:r.pr_tgt
     in
-    P_cube (o, units, Solver.diff (Solver.stats ()) before)
+    (v, Solver.diff (Solver.stats ()) before)
 
 (* Cumulative pain-probe counters (see [verify_pain]): one cell per engine,
    mutex-guarded because probes may run from any domain. *)
@@ -250,8 +232,6 @@ type t = {
   breaker_k : int; (* 0 disables the circuit breaker *)
   breaker_cooldown : int;
   isolate : isolate;
-  portfolio : int; (* 1 = single-solver tier 2; > 1 races diversified members *)
-  cube_k : int; (* split on the top-k VSIDS vars: 2^k cubes *)
   pool : (proc_request, proc_response) Vproc.t option; (* Some iff isolate = Proc *)
   store : Store.t option; (* the shared disk-backed verdict tier *)
   pain : pain_cell; (* the adversarial miner's measurement channel *)
@@ -277,24 +257,14 @@ let env_int name default =
   | Some s -> ( match int_of_string_opt (String.trim s) with Some v -> v | None -> default)
   | None -> default
 
-let portfolio_of_env () = max 1 (env_int "VERIOPT_PORTFOLIO" 1)
-let cube_k_of_env () = max 0 (min 6 (env_int "VERIOPT_CUBE_K" 2))
-
 let warned_store = Atomic.make false
 
 let store_dir_of_env () =
   match Sys.getenv_opt "VERIOPT_STORE" with None | Some "" -> None | Some d -> Some d
 
 let create ?(capacity = 8192) ?(tier1_samples = 16) ?(tier1_fuel = 200_000) ?(breaker_k = 0)
-    ?(breaker_cooldown = 16) ?isolate ?portfolio ?cube_k ?store () =
-  let portfolio = max 1 (match portfolio with Some p -> p | None -> portfolio_of_env ()) in
-  let cube_k = max 0 (min 6 (match cube_k with Some k -> k | None -> cube_k_of_env ())) in
-  let isolate =
-    match isolate with
-    | Some i -> i
-    (* a portfolio IS the fork pool: racing needs process members *)
-    | None -> if portfolio > 1 then Proc else isolate_of_env ()
-  in
+    ?(breaker_cooldown = 16) ?isolate ?store () =
+  let isolate = match isolate with Some i -> i | None -> isolate_of_env () in
   let isolate =
     match isolate with
     | Proc when not (Vproc.available ()) ->
@@ -310,9 +280,8 @@ let create ?(capacity = 8192) ?(tier1_samples = 16) ?(tier1_fuel = 200_000) ?(br
     | Domains -> (Domains, None)
     | Proc ->
       (* fork eagerly, at engine creation: the only legal moment for a
-         multicore runtime, before reward traffic spins up the Par domains.
-         The pool is sized to the portfolio so a whole race fits at once. *)
-      let jobs = max portfolio (max 1 (env_int "VERIOPT_PROC_JOBS" 2)) in
+         multicore runtime, before reward traffic spins up the Par domains *)
+      let jobs = max 1 (env_int "VERIOPT_PROC_JOBS" 2) in
       let p = Vproc.create ~jobs ~handler:proc_handler () in
       if Vproc.slots_available p > 0 then (Proc, Some p)
       else begin
@@ -324,14 +293,6 @@ let create ?(capacity = 8192) ?(tier1_samples = 16) ?(tier1_fuel = 200_000) ?(br
            back to the domain backend";
         (Domains, None)
       end
-  in
-  let portfolio =
-    if portfolio > 1 && pool = None then begin
-      warn_once warned_fallback
-        "portfolio racing needs the proc backend; running a single solver";
-      1
-    end
-    else portfolio
   in
   (* open the store after the pool forks: workers open their own read-only
      handles by path and must not inherit the writer's descriptor/buffer *)
@@ -360,8 +321,6 @@ let create ?(capacity = 8192) ?(tier1_samples = 16) ?(tier1_fuel = 200_000) ?(br
     breaker_k = max 0 breaker_k;
     breaker_cooldown = max 1 breaker_cooldown;
     isolate;
-    portfolio;
-    cube_k;
     pool;
     store;
     pain =
@@ -376,7 +335,6 @@ let create ?(capacity = 8192) ?(tier1_samples = 16) ?(tier1_fuel = 200_000) ?(br
   }
 
 let isolate t = t.isolate
-let portfolio t = t.portfolio
 
 let shutdown t =
   (match t.pool with Some p -> Vproc.shutdown p | None -> ());
@@ -451,17 +409,6 @@ let tier1_verdict (m : Ast.modul) (src : Ast.func) (tgt : Ast.func) ~fuel ~bound
   }
 
 (* ------------------------------------------------------------------ *)
-(* Tier 2, portfolio mode.
-
-   The parent probes the query on a tiny conflict budget (in-process, on
-   the live probe solver).  A conclusive probe needs no fan-out.  An
-   inconclusive one splits on the probe's top-k VSIDS variables into 2^k
-   cubes and races, across the fork pool: one cube leg per cube (each a
-   different member config) plus — when the portfolio is wider than the
-   cube set — diversified full-query legs.  First conclusive leg wins and
-   the losers are SIGKILLed; if nobody wins outright, all-cubes-refine is a
-   refutation by partition, and otherwise the cube workers' learned unit
-   clauses are merged back into the probe for one last cheap solve. *)
 
 let inconclusive_verdict ~bounded ~copy msg =
   {
@@ -472,159 +419,12 @@ let inconclusive_verdict ~bounded ~copy msg =
     copy_of_input = copy;
   }
 
-let rec floor_log2 n = if n <= 1 then 0 else 1 + floor_log2 (n / 2)
-
-type race_leg = { leg_cube : int list option; leg_member : Portfolio.member }
-
-let tier2_race (t : t) pool ~unroll ~max_conflicts ?deadline ~(sat : Sat.config option)
-    ~bounded (m : Ast.modul) ~(src : Ast.func) ~(tgt : Ast.func) :
-    Alive.verdict * bool (* cacheable *) =
-  Portfolio.note_race ();
-  let t0 = now () in
-  let base_seed = match sat with Some c -> c.Sat.seed | None -> 0 in
-  let k = min t.cube_k (floor_log2 (Vproc.jobs pool)) in
-  match
-    Alive.cube_probe ~unroll ~max_conflicts:(min 500 max_conflicts) ?deadline ?sat ~k m ~src
-      ~tgt
-  with
-  | `Verdict v -> (v, true) (* conclusive before any fan-out *)
-  | `Split plan -> (
-    Portfolio.note_cube_split ();
-    let n_cubes = List.length plan.Alive.cubes in
-    let total = max t.portfolio n_cubes in
-    let mems = Array.of_list (Portfolio.members ~base_seed total) in
-    let legs =
-      Array.init total (fun i ->
-          {
-            leg_cube = (if i < n_cubes then Some (List.nth plan.Alive.cubes i) else None);
-            leg_member = mems.(i);
-          })
-    in
-    let reqs =
-      Array.to_list
-        (Array.map
-           (fun leg ->
-             {
-               pr_m = m;
-               pr_src = src;
-               pr_tgt = tgt;
-               pr_unroll = unroll;
-               pr_max_conflicts = max_conflicts;
-               pr_deadline = deadline;
-               pr_sat = Some leg.leg_member.Portfolio.config;
-               pr_cube = leg.leg_cube;
-               (* race legs skip the store: a diversified member's key can
-                  never match a parent-written entry, and the parent already
-                  missed before fanning out *)
-               pr_store = None;
-             })
-           legs)
-    in
-    let kill_at = Option.map (fun d -> d +. Float.max 0.01 (0.5 *. (d -. t0))) deadline in
-    let decide _i (resp : proc_response) =
-      match resp with
-      | P_verdict (v, _) when v.Alive.category <> Alive.Inconclusive -> `Win
-      | P_cube (Alive.Cube_cex _, _, _) -> `Win
-      | _ -> `Continue
-    in
-    match Vproc.call_race ?kill_at ~decide pool reqs with
-    | Error f ->
-      ( inconclusive_verdict ~bounded ~copy:plan.Alive.plan_copy
-          ("verification " ^ Vproc.failure_message f ^ " (portfolio)"),
-        false )
-    | Ok members ->
-      let wall = now () -. t0 in
-      let winner = ref (-1) in
-      let cancelled = ref 0 in
-      let wasted = ref 0 in
-      Array.iteri
-        (fun i (mr : proc_response Vproc.race_member) ->
-          match mr with
-          | Vproc.Race_done (resp, _) ->
-            let d = match resp with P_verdict (_, d) | P_cube (_, _, d) -> d in
-            Solver.absorb d;
-            let wins =
-              match resp with
-              | P_verdict (v, _) -> v.Alive.category <> Alive.Inconclusive
-              | P_cube (Alive.Cube_cex _, _, _) -> true
-              | P_cube _ -> false
-            in
-            if wins && !winner < 0 then winner := i
-            else wasted := !wasted + d.Solver.conflicts
-          | Vproc.Race_cancelled _ -> incr cancelled
-          | Vproc.Race_failed _ -> ())
-        members;
-      Portfolio.note_cancelled !cancelled;
-      Portfolio.note_wasted ~conflicts:!wasted;
-      if !winner >= 0 then begin
-        let i = !winner in
-        Portfolio.note_win ~label:legs.(i).leg_member.Portfolio.label;
-        (match members.(i) with
-        | Vproc.Race_done (_, elapsed) when elapsed > 0. ->
-          Portfolio.note_reap_ratio (wall /. elapsed)
-        | _ -> ());
-        match members.(i) with
-        | Vproc.Race_done (P_verdict (v, _), _) -> (v, true)
-        | Vproc.Race_done (P_cube (Alive.Cube_cex v, _, _), _) ->
-          Portfolio.note_cube_cex ();
-          (v, true)
-        | _ -> assert false
-      end
-      else begin
-        (* no single leg was conclusive: conclude at the join if we can *)
-        let cube_done =
-          List.filteri (fun i _ -> i < n_cubes)
-            (Array.to_list
-               (Array.map
-                  (function
-                    | Vproc.Race_done (P_cube (o, units, _), _) -> Some (o, units)
-                    | _ -> None)
-                  members))
-        in
-        let all_refine =
-          n_cubes > 0
-          && List.for_all
-               (function Some (Alive.Cube_refines, _) -> true | _ -> false)
-               cube_done
-        in
-        if all_refine then begin
-          (* the cubes partition the space: no mismatch in any cube is no
-             mismatch anywhere (within the unroll bound) *)
-          Portfolio.note_cube_refutation ();
-          ( {
-              Alive.category = Alive.Equivalent;
-              message = Diagnostics.equivalent_message ~bounded;
-              example = [];
-              bounded;
-              copy_of_input = plan.Alive.plan_copy;
-            },
-            true )
-        end
-        else begin
-          let units =
-            List.concat_map (function Some (_, units) -> units | None -> []) cube_done
-            |> List.sort_uniq compare
-          in
-          Portfolio.note_units (List.length units);
-          match Alive.probe_join plan ~units with
-          | Some v ->
-            Portfolio.note_join_refutation ();
-            (v, true)
-          | None ->
-            ( inconclusive_verdict ~bounded ~copy:plan.Alive.plan_copy
-                "solver resource limit reached (portfolio)",
-              true )
-        end
-      end)
-
-(* ------------------------------------------------------------------ *)
-
-let verify_funcs ?(unroll = 4) ?(max_conflicts = 200_000) ?deadline ?sat (t : t)
+let verify_funcs ?(unroll = 4) ?(max_conflicts = 200_000) ?deadline (t : t)
     (m : Ast.modul) ~(src : Ast.func) ~(tgt : Ast.func) : Alive.verdict =
   (* tier 0, mirror of Alive.verify_funcs: cheap, never cached *)
   if not (Alive.signature_matches src tgt) then Alive.signature_verdict
   else
-    let key = cache_key ~unroll ~max_conflicts ~portfolio:t.portfolio ~sat m ~src ~tgt in
+    let key = cache_key ~unroll ~max_conflicts m ~src ~tgt in
     match Vcache.find t.cache key with
     | Some v -> v
     | None ->
@@ -650,15 +450,7 @@ let verify_funcs ?(unroll = 4) ?(max_conflicts = 200_000) ?deadline ?sat (t : t)
           let t0 = now () in
           let v =
             match t.pool with
-            | None ->
-              Alive.verify_funcs ~unroll ~max_conflicts ?deadline ?sat m ~src ~tgt
-            | Some pool when t.portfolio > 1 ->
-              let v, c =
-                tier2_race t pool ~unroll ~max_conflicts ?deadline ~sat
-                  ~bounded:(Lazy.force bounded) m ~src ~tgt
-              in
-              if not c then cacheable := false;
-              v
+            | None -> Alive.verify_funcs ~unroll ~max_conflicts ?deadline m ~src ~tgt
             | Some pool -> (
               (* the child still gets the cooperative deadline; the hard
                  SIGKILL fires only once it has overrun by half a budget *)
@@ -674,19 +466,12 @@ let verify_funcs ?(unroll = 4) ?(max_conflicts = 200_000) ?deadline ?sat (t : t)
                     pr_unroll = unroll;
                     pr_max_conflicts = max_conflicts;
                     pr_deadline = deadline;
-                    pr_sat = sat;
-                    pr_cube = None;
                     pr_store = Option.map Store.dir t.store;
                   }
               with
-              | Ok (P_verdict (v, d)) ->
+              | Ok (v, d) ->
                 Solver.absorb d;
                 v
-              | Ok (P_cube _) ->
-                (* protocol mismatch; cannot happen for a full-query request *)
-                cacheable := false;
-                inconclusive_verdict ~bounded:(Lazy.force bounded) ~copy:false
-                  "worker protocol mismatch (proc isolate)"
               | Error f ->
                 (* a dead worker describes this call's sandbox, not the
                    query: degrade to an uncached Inconclusive *)
@@ -738,14 +523,14 @@ let verify_funcs ?(unroll = 4) ?(max_conflicts = 200_000) ?deadline ?sat (t : t)
           t.cache key verdict;
       verdict
 
-let verify_text ?unroll ?max_conflicts ?deadline ?sat (t : t) (m : Ast.modul)
+let verify_text ?unroll ?max_conflicts ?deadline (t : t) (m : Ast.modul)
     ~(src : Ast.func) ~(tgt_text : string) : Alive.verdict =
   (* fault site: a crashing (not merely failing) parse; the crash-proof
      reward path converts the exception into a counted engine failure *)
   Fault.inject Fault.Parse_corrupt ~site:"engine.parse";
   match Alive.parse_target m tgt_text with
   | Error v -> v
-  | Ok tgt -> verify_funcs ?unroll ?max_conflicts ?deadline ?sat t m ~src ~tgt
+  | Ok tgt -> verify_funcs ?unroll ?max_conflicts ?deadline t m ~src ~tgt
 
 (* ------------------------------------------------------------------ *)
 (* Pain probes: one timed, deadline-bounded verification plus the deltas of
@@ -787,7 +572,7 @@ let pain_stats t =
   Mutex.unlock c.pc_mu;
   s
 
-let verify_pain ?unroll ?max_conflicts ?(budget_s = 0.05) ?sat (t : t)
+let verify_pain ?unroll ?max_conflicts ?(budget_s = 0.05) (t : t)
     (m : Ast.modul) ~(src : Ast.func) ~(tgt : Ast.func) : pain =
   let vs0 = Vcache.stats t.cache in
   let ss0 = Solver.stats () in
@@ -795,7 +580,7 @@ let verify_pain ?unroll ?max_conflicts ?(budget_s = 0.05) ?sat (t : t)
   let t0 = now () in
   let budget_s = Float.max 0.001 budget_s in
   let v =
-    verify_funcs ?unroll ?max_conflicts ~deadline:(t0 +. budget_s) ?sat t m ~src ~tgt
+    verify_funcs ?unroll ?max_conflicts ~deadline:(t0 +. budget_s) t m ~src ~tgt
   in
   let wall = now () -. t0 in
   let vs1 = Vcache.stats t.cache in

@@ -44,8 +44,6 @@ val create :
   ?breaker_k:int ->
   ?breaker_cooldown:int ->
   ?isolate:isolate ->
-  ?portfolio:int ->
-  ?cube_k:int ->
   ?store:string ->
   unit ->
   t
@@ -67,18 +65,8 @@ val create :
     forks its worker pool eagerly here — the safest moment for a multicore
     runtime, before reward traffic spins up the Par domains — and silently
     degrades to [Domains] when fork is unavailable (non-Unix, or
-    [VERIOPT_NO_FORK] set), with a one-time warning.
-
-    [portfolio] (default [VERIOPT_PORTFOLIO] or 1) > 1 turns tier 2 into a
-    race of that many diversified SAT configurations across the fork pool
-    (implying [Proc]; the pool is sized to fit a whole race).  The parent
-    first probes each query on a tiny conflict budget; inconclusive probes
-    split into [2^cube_k] cube legs (cube-and-conquer on the probe's top
-    VSIDS variables; [cube_k] defaults to [VERIOPT_CUBE_K] or 2) plus
-    diversified full-query legs.  The first conclusive leg wins and the
-    losers are promptly SIGKILLed; racing affects wall time, never
-    verdicts.  When fork is unavailable the portfolio silently degrades to
-    a single solver.
+    [VERIOPT_NO_FORK] set), with a one-time warning.  The pool has
+    [VERIOPT_PROC_JOBS] (default 2) workers.
 
     [store] (default [VERIOPT_STORE] or none) mounts the shared disk-backed
     verdict store ({!Veriopt_store.Store}) at that directory as a
@@ -92,17 +80,14 @@ val create :
 val isolate : t -> isolate
 (** The backend this engine actually runs (after any fallback). *)
 
-val portfolio : t -> int
-(** The portfolio width this engine actually races (1 after fallback). *)
-
 val shutdown : t -> unit
 (** Kill and reap the fork pool (no-op for the [Domains] backend) and
     flush + close the verdict store, if mounted.  Must not race in-flight
     verifications. *)
 
 val orphans : t -> int
-(** Workers still alive after {!shutdown} — a bench smoke check that racing
-    leaked no processes (always [0] after a clean shutdown). *)
+(** Workers still alive after {!shutdown} — a bench smoke check that the
+    pool leaked no processes (always [0] after a clean shutdown). *)
 
 val shared : unit -> t
 (** The process-wide engine, created on first use: training, evaluation and
@@ -112,7 +97,6 @@ val verify_funcs :
   ?unroll:int ->
   ?max_conflicts:int ->
   ?deadline:float ->
-  ?sat:Veriopt_smt.Sat.config ->
   t ->
   Veriopt_ir.Ast.modul ->
   src:Veriopt_ir.Ast.func ->
@@ -122,16 +106,12 @@ val verify_funcs :
     [deadline] is an absolute [Unix.gettimeofday] instant: past it the SMT
     tier answers [Inconclusive] instead of continuing.  Deadline-expired and
     breaker-skipped verdicts are transient and never cached.  [unroll] and
-    [max_conflicts] are part of the cache key.  [sat] is the base SAT
-    configuration: the single solver's config when [portfolio = 1], and the
-    seed/config of member 0 of a race (its canonical description enters the
-    cache key, as does the portfolio width). *)
+    [max_conflicts] are part of the cache key. *)
 
 val verify_text :
   ?unroll:int ->
   ?max_conflicts:int ->
   ?deadline:float ->
-  ?sat:Veriopt_smt.Sat.config ->
   t ->
   Veriopt_ir.Ast.modul ->
   src:Veriopt_ir.Ast.func ->
@@ -177,7 +157,6 @@ val verify_pain :
   ?unroll:int ->
   ?max_conflicts:int ->
   ?budget_s:float ->
-  ?sat:Veriopt_smt.Sat.config ->
   t ->
   Veriopt_ir.Ast.modul ->
   src:Veriopt_ir.Ast.func ->
@@ -211,14 +190,12 @@ val semantics_digest : unit -> string
 val store_key :
   ?unroll:int ->
   ?max_conflicts:int ->
-  ?portfolio:int ->
-  ?sat:Veriopt_smt.Sat.config ->
   Veriopt_ir.Ast.modul ->
   src:Veriopt_ir.Ast.func ->
   tgt:Veriopt_ir.Ast.func ->
   string
 (** The store's content address for a query (defaults mirror
-    {!verify_funcs} with [portfolio = 1]): raw canonical module text,
+    {!verify_funcs}): raw canonical module text,
     {e alpha-canonical} source/target texts — renamed-but-identical pairs,
     and operand-commuted / constant-renormalized twins (the key-level
     {!Veriopt_ir.Canon} quotient), collide onto one entry, soundly,

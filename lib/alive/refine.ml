@@ -146,39 +146,9 @@ let outcome_of = function
   | Solver.Sat model -> Counterexample model
   | Solver.Unknown -> Unknown
 
-(** Check whether [tgt] refines [src].  [sat] diversifies the underlying
-    SAT solver (portfolio members). *)
-let check ?(max_conflicts = 200_000) ?deadline ?sat (src : summary) (tgt : summary) : outcome =
-  outcome_of (Solver.check ~max_conflicts ?deadline ?config:sat (query src tgt))
-
-(* ------------------------------------------------------------------ *)
-(* Cube-and-conquer entry points.
-
-   The parent probes the refinement query on a small budget; if that is
-   inconclusive, its VSIDS order names the split variables and each cube is
-   solved by [check_cube] in a separate process.  Raw SAT literals travel
-   between planner and workers, which is sound because both sides blast the
-   {e same} [query src tgt] assertion list in a fresh context, and variable
-   numbering depends only on that list's structure: not on solver config,
-   and not on what either process interned before — every commutative
-   constructor orders its operands by the structural {!Expr.compare}, never
-   by allocation id. *)
-
-let probe ?(max_conflicts = 500) ?deadline ?sat (src : summary) (tgt : summary) :
-    Solver.probe * outcome =
-  let p, o = Solver.probe_check ~max_conflicts ?deadline ?config:sat (query src tgt) in
-  (p, outcome_of o)
-
-let probe_top_vars = Solver.probe_top_vars
-
-let probe_join ?max_conflicts ?deadline p ~units =
-  Solver.probe_add_units p units;
-  outcome_of (Solver.probe_resolve ?max_conflicts ?deadline p)
-
-let check_cube ?(max_conflicts = 200_000) ?deadline ?sat ~cube (src : summary) (tgt : summary)
-    : outcome * int list =
-  let o, units = Solver.check_cube ~max_conflicts ?deadline ?config:sat ~cube (query src tgt) in
-  (outcome_of o, units)
+(** Check whether [tgt] refines [src]. *)
+let check ?(max_conflicts = 200_000) ?deadline (src : summary) (tgt : summary) : outcome =
+  outcome_of (Solver.check ~max_conflicts ?deadline (query src tgt))
 
 (* ------------------------------------------------------------------ *)
 (* Incremental sessions for iterative-deepening unroll.
@@ -200,7 +170,7 @@ let check_cube ?(max_conflicts = 200_000) ?deadline ?sat ~cube (src : summary) (
 
 type session = { s : Solver.Session.t; mutable asserted_depths : int list }
 
-let session_create ?sat () = { s = Solver.Session.create ?config:sat (); asserted_depths = [] }
+let session_create () = { s = Solver.Session.create (); asserted_depths = [] }
 let session_release t = Solver.Session.release t.s
 let session_conflicts t = Solver.Session.conflicts t.s
 

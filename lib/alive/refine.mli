@@ -14,57 +14,10 @@ type outcome =
 val check :
   ?max_conflicts:int ->
   ?deadline:float ->
-  ?sat:Veriopt_smt.Sat.config ->
   Encode.summary ->
   Encode.summary ->
   outcome
-(** [deadline] is an absolute wall-clock instant forwarded to the solver;
-    [sat] diversifies the underlying SAT solver (portfolio members). *)
-
-(** {1 Cube-and-conquer}
-
-    The parent probes the refinement query on a small budget; on [Unknown]
-    its VSIDS order names the split variables, each cube is solved by
-    {!check_cube} in a separate process, and unit clauses learned by the
-    cube workers are merged back at {!probe_join}.  Raw SAT literals travel
-    between planner and workers, which is sound because both sides blast
-    the {e same} deterministic query assertion list in a fresh context —
-    variable numbering is structural, independent of solver config. *)
-
-val probe :
-  ?max_conflicts:int ->
-  ?deadline:float ->
-  ?sat:Veriopt_smt.Sat.config ->
-  Encode.summary ->
-  Encode.summary ->
-  Veriopt_smt.Solver.probe * outcome
-(** Budget-limited check (default 500 conflicts) whose solver context stays
-    alive for splitting and joining. *)
-
-val probe_top_vars : Veriopt_smt.Solver.probe -> int -> int list
-(** The probe's top-[k] split variables, most-active first. *)
-
-val probe_join :
-  ?max_conflicts:int ->
-  ?deadline:float ->
-  Veriopt_smt.Solver.probe ->
-  units:int list ->
-  outcome
-(** Merge cube workers' level-0 unit literals into the probe and re-solve
-    on a small budget: units from different cubes may be jointly
-    conclusive. *)
-
-val check_cube :
-  ?max_conflicts:int ->
-  ?deadline:float ->
-  ?sat:Veriopt_smt.Sat.config ->
-  cube:int list ->
-  Encode.summary ->
-  Encode.summary ->
-  outcome * int list
-(** Decide the refinement query under a cube of raw assumption literals;
-    also returns the level-0 units learned (safe to {!probe_join}).
-    [Refines] means "no mismatch within this cube" only. *)
+(** [deadline] is an absolute wall-clock instant forwarded to the solver. *)
 
 (** {1 Incremental deepening}
 
@@ -76,7 +29,7 @@ val check_cube :
 
 type session
 
-val session_create : ?sat:Veriopt_smt.Sat.config -> unit -> session
+val session_create : unit -> session
 val session_release : session -> unit
 
 val session_conflicts : session -> int

@@ -10,19 +10,11 @@ type key = {
   tgt : string;
   unroll : int;
   max_conflicts : int;
-  portfolio : int;
-  sat : string;
 }
 
 let key_text k =
   String.concat "\x00"
-    [
-      k.ctx;
-      k.src;
-      k.tgt;
-      Printf.sprintf "u=%d;c=%d;p=%d" k.unroll k.max_conflicts k.portfolio;
-      k.sat;
-    ]
+    [ k.ctx; k.src; k.tgt; Printf.sprintf "u=%d;c=%d" k.unroll k.max_conflicts ]
 
 type stats = {
   hits : int;

@@ -30,19 +30,12 @@ type key = {
   tgt : string;  (** canonical target function text *)
   unroll : int;
   max_conflicts : int;
-  portfolio : int;
-      (** portfolio width — a trajectory parameter: which member concludes
-          (and whether anyone does within budget) depends on it *)
-  sat : string;
-      (** canonical description of the base SAT config
-          ({!Veriopt_smt.Sat.describe_config}): seed and schedule changes
-          must not alias cache entries *)
 }
 
 val key_text : key -> string
-(** The disk store's content address for a key: its fields joined by NUL,
-    with the three integer knobs rendered as one
-    [u=<unroll>;c=<max_conflicts>;p=<portfolio>] segment. *)
+(** The disk store's content address for a key: its four fields joined by
+    NUL, with the two integer knobs rendered as one
+    [u=<unroll>;c=<max_conflicts>] segment. *)
 
 type stats = {
   hits : int;

@@ -286,32 +286,10 @@ let engine_stats ppf (engine : Veriopt_alive.Engine.t) =
    if ef > 0 then Fmt.pf ppf "  reward: %d engine failures absorbed as inconclusive@." ef);
   (let vp = Veriopt_vproc.Vproc.stats () in
    if vp.Veriopt_vproc.Vproc.spawned > 0 then
-     Fmt.pf ppf
-       "  vproc:  %d workers spawned (%d respawns), %d killed, %d crashed, %d frames, %d race \
-        losers cancelled@."
+     Fmt.pf ppf "  vproc:  %d workers spawned (%d respawns), %d killed, %d crashed, %d frames@."
        vp.Veriopt_vproc.Vproc.spawned vp.Veriopt_vproc.Vproc.respawned
        vp.Veriopt_vproc.Vproc.killed vp.Veriopt_vproc.Vproc.crashed
-       vp.Veriopt_vproc.Vproc.frames vp.Veriopt_vproc.Vproc.cancelled);
-  (let p = Veriopt_smt.Portfolio.stats () in
-   if p.Veriopt_smt.Portfolio.races > 0 then begin
-     Fmt.pf ppf
-       "  portfolio: %d races (%d full-member wins), %d cube splits, %d cube cex, %d cube \
-        refutations, %d join refutations@."
-       p.Veriopt_smt.Portfolio.races p.Veriopt_smt.Portfolio.race_wins
-       p.Veriopt_smt.Portfolio.cube_splits p.Veriopt_smt.Portfolio.cube_cex
-       p.Veriopt_smt.Portfolio.cube_refutations p.Veriopt_smt.Portfolio.join_refutations;
-     Fmt.pf ppf
-       "  portfolio: %d losers cancelled, %d wasted conflicts, %d units merged, reap ratio \
-        max %.2f@."
-       p.Veriopt_smt.Portfolio.losers_cancelled p.Veriopt_smt.Portfolio.wasted_conflicts
-       p.Veriopt_smt.Portfolio.units_merged p.Veriopt_smt.Portfolio.reap_ratio_max;
-     match Veriopt_smt.Portfolio.winner_histogram () with
-     | [] -> ()
-     | hist ->
-       Fmt.pf ppf "  portfolio-winners: %a@."
-         (Fmt.list ~sep:(Fmt.any ", ") (fun ppf (label, n) -> Fmt.pf ppf "%s:%d" label n))
-         hist
-   end);
+       vp.Veriopt_vproc.Vproc.frames);
   Fmt.pf ppf "  pool:   VERIOPT_JOBS=%d@." (Veriopt_par.Par.shared_jobs ())
 
 (* ------------------------------------------------------------------ *)

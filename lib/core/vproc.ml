@@ -37,7 +37,6 @@ type stats = {
   crashed : int;
   respawned : int;
   frames : int;
-  cancelled : int;
 }
 
 let spawned_c = Atomic.make 0
@@ -45,7 +44,6 @@ let killed_c = Atomic.make 0
 let crashed_c = Atomic.make 0
 let respawned_c = Atomic.make 0
 let frames_c = Atomic.make 0
-let cancelled_c = Atomic.make 0
 
 let stats () =
   {
@@ -54,13 +52,12 @@ let stats () =
     crashed = Atomic.get crashed_c;
     respawned = Atomic.get respawned_c;
     frames = Atomic.get frames_c;
-    cancelled = Atomic.get cancelled_c;
   }
 
 let reset_stats () =
   List.iter
     (fun c -> Atomic.set c 0)
-    [ spawned_c; killed_c; crashed_c; respawned_c; frames_c; cancelled_c ]
+    [ spawned_c; killed_c; crashed_c; respawned_c; frames_c ]
 
 (* ------------------------------------------------------------------ *)
 (* Pool structure.
@@ -103,8 +100,6 @@ type ('req, 'resp) t = {
 (* The request envelope carries the parent's live fault config so chaos
    specs configured after the workers forked still reach them. *)
 type 'req request_frame = { seq : int; payload : 'req; faults : Fault.config option }
-
-let jobs t = t.n_jobs
 
 let slots_available t =
   Array.fold_left
@@ -371,24 +366,11 @@ let acquire (t : _ t) : int option =
 let release (t : _ t) (idx : int) =
   Mutex.lock t.mutex;
   Queue.push idx t.free;
-  (* broadcast, not signal: an [acquire_many] waiter may need several
-     releases before its predicate holds, and a woken single-slot waiter
-     would otherwise swallow the wakeup *)
+  (* broadcast, not signal: [shutdown] waits on the same condition for the
+     free queue to refill, and a woken slot waiter would otherwise swallow
+     the wakeup *)
   Condition.broadcast t.free_cond;
   Mutex.unlock t.mutex
-
-(* Atomically acquire [n] slots — all or nothing, so two concurrent races
-   can never deadlock each other holding partial sets. *)
-let acquire_many (t : _ t) (n : int) : int list option =
-  Mutex.lock t.mutex;
-  while Queue.length t.free < n && not t.closed do
-    Condition.wait t.free_cond t.mutex
-  done;
-  let r =
-    if t.closed then None else Some (List.init n (fun _ -> Queue.pop t.free))
-  in
-  Mutex.unlock t.mutex;
-  r
 
 let call ?kill_at (t : ('req, 'resp) t) (req : 'req) : ('resp, failure) result =
   if t.closed then Error (Unavailable "pool is shut down")
@@ -469,192 +451,6 @@ let call ?kill_at (t : ('req, 'resp) t) (req : 'req) : ('resp, failure) result =
           in
           await ()))
 
-(* ------------------------------------------------------------------ *)
-(* Portfolio racing: one request per member, dispatched to distinct slots
-   simultaneously; the caller's [decide] inspects each response as it lands
-   and declares the winner, at which point every still-running member is
-   SIGKILLed (cancellation, not failure: no backoff penalty — the
-   supervisor respawns the worker as usual). *)
-
-type 'resp race_member =
-  | Race_done of 'resp * float
-  | Race_cancelled of float
-  | Race_failed of failure
-
-let slot_note_failure (t : _ t) (slot : slot) =
-  slot.failures <- slot.failures + 1;
-  let delay =
-    Float.min t.backoff_max (t.backoff_base *. (2. ** float_of_int (slot.failures - 1)))
-  in
-  slot.not_before <- Unix.gettimeofday () +. delay
-
-let slot_sigkill (slot : slot) =
-  (match slot.worker_pid with
-  | Some p -> ( try Unix.kill p Sys.sigkill with Unix.Unix_error _ -> ())
-  | None -> ());
-  slot.expect_respawn <- true
-
-let call_race ?kill_at ~(decide : int -> 'resp -> [ `Win | `Continue ])
-    (t : ('req, 'resp) t) (reqs : 'req list) : ('resp race_member array, failure) result =
-  if t.closed then Error (Unavailable "pool is shut down")
-  else begin
-    let reqs = Array.of_list reqs in
-    let n = Array.length reqs in
-    if n = 0 then Ok [||]
-    else begin
-      let n_take = min n t.n_jobs in
-      match acquire_many t n_take with
-      | None -> Error (Unavailable "pool is shut down")
-      | Some idxs ->
-        Fun.protect ~finally:(fun () -> List.iter (release t) idxs) @@ fun () ->
-        let started = Unix.gettimeofday () in
-        let deadline =
-          match kill_at with
-          | Some _ as d -> d
-          | None -> if t.max_call_s > 0. then Some (started +. t.max_call_s) else None
-        in
-        let outcome : 'resp race_member option array = Array.make n None in
-        let slots : slot option array = Array.make n None in
-        List.iteri
-          (fun i idx ->
-            match t.slots.(idx) with
-            | Some slot when not slot.dead -> slots.(i) <- Some slot
-            | _ -> outcome.(i) <- Some (Race_failed (Unavailable "worker slot unavailable")))
-          idxs;
-        for i = n_take to n - 1 do
-          (* more members than slots: the engine sizes the pool to the
-             portfolio, so this is defensive, not a normal path *)
-          outcome.(i) <- Some (Race_failed (Unavailable "more members than pool slots"))
-        done;
-        (* dispatch every member before reading anything *)
-        Array.iteri
-          (fun i (slot_opt : slot option) ->
-            match slot_opt with
-            | None -> ()
-            | Some _ when outcome.(i) <> None -> ()
-            | Some slot -> (
-              slot.seq <- slot.seq + 1;
-              match
-                write_frame slot.req_w 'R'
-                  (Marshal.to_bytes
-                     { seq = slot.seq; payload = reqs.(i); faults = Fault.config () }
-                     [])
-              with
-              | () -> ()
-              | exception Unix.Unix_error (e, _, _) ->
-                slot.dead <- true;
-                Atomic.incr crashed_c;
-                slot_note_failure t slot;
-                outcome.(i) <-
-                  Some (Race_failed (Crashed ("request write failed: " ^ Unix.error_message e)))))
-          slots;
-        let winner = ref false in
-        let all_done () = Array.for_all (fun o -> o <> None) outcome in
-        let fail i slot f =
-          slot_note_failure t slot;
-          outcome.(i) <- Some (Race_failed f)
-        in
-        while (not !winner) && not (all_done ()) do
-          let now = Unix.gettimeofday () in
-          match deadline with
-          | Some d when now > d ->
-            (* hard deadline: every still-running member is killed *)
-            Array.iteri
-              (fun i o ->
-                if o = None then begin
-                  (match slots.(i) with
-                  | Some slot ->
-                    Atomic.incr killed_c;
-                    slot_sigkill slot;
-                    slot_note_failure t slot
-                  | None -> ());
-                  outcome.(i) <- Some (Race_failed (Killed (now -. started)))
-                end)
-              outcome
-          | _ -> (
-            let fds =
-              Array.to_list slots
-              |> List.filteri (fun i _ -> outcome.(i) = None)
-              |> List.filter_map (Option.map (fun s -> s.resp_r))
-            in
-            let tv =
-              match deadline with
-              | Some d -> Float.max 0.01 (Float.min 0.5 (d -. now))
-              | None -> 0.5
-            in
-            match Unix.select fds [] [] tv with
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-            | ready, _, _ ->
-              List.iter
-                (fun fd ->
-                  if not !winner then
-                    Array.iteri
-                      (fun i (slot_opt : slot option) ->
-                        match slot_opt with
-                        | Some slot when slot.resp_r == fd && outcome.(i) = None -> (
-                          (* the frame's bytes are in flight: give the worker a
-                             bounded window to finish writing it *)
-                          let read_by = Some (Unix.gettimeofday () +. 5.) in
-                          match read_frame_parent slot.resp_r ~deadline:read_by with
-                          | `Timeout ->
-                            Atomic.incr killed_c;
-                            slot_sigkill slot;
-                            fail i slot (Killed (Unix.gettimeofday () -. started))
-                          | `Eof ->
-                            slot.dead <- true;
-                            Atomic.incr crashed_c;
-                            fail i slot (Crashed "worker and supervisor gone (EOF)")
-                          | `Frame ('P', data) -> (
-                            match note_pid slot data with
-                            | `Initial | `Expected_respawn -> ()
-                            | `Died_mid_call ->
-                              Atomic.incr crashed_c;
-                              fail i slot (Crashed "worker died mid-call (respawned)"))
-                          | `Frame ('r', data) -> (
-                            match
-                              (Marshal.from_bytes data 0 : int * ('resp, string) result)
-                            with
-                            | exception _ ->
-                              Atomic.incr crashed_c;
-                              fail i slot (Crashed "corrupt response payload")
-                            | s, _ when s < slot.seq -> () (* stale pre-kill answer *)
-                            | s, _ when s > slot.seq ->
-                              Atomic.incr crashed_c;
-                              fail i slot (Crashed "response sequence desync")
-                            | _, Error msg ->
-                              slot.failures <- 0;
-                              Atomic.incr frames_c;
-                              outcome.(i) <- Some (Race_failed (Handler_raised msg))
-                            | _, Ok v ->
-                              slot.failures <- 0;
-                              Atomic.incr frames_c;
-                              outcome.(i) <-
-                                Some (Race_done (v, Unix.gettimeofday () -. started));
-                              if decide i v = `Win then winner := true)
-                          | `Frame (_, _) -> () (* unknown frame type: ignore *))
-                        | _ -> ())
-                      slots)
-                ready)
-        done;
-        (* a winner cancels every member still running *)
-        if !winner then begin
-          let now = Unix.gettimeofday () in
-          Array.iteri
-            (fun i o ->
-              if o = None then begin
-                (match slots.(i) with
-                | Some slot ->
-                  Atomic.incr cancelled_c;
-                  slot_sigkill slot
-                | None -> ());
-                outcome.(i) <- Some (Race_cancelled (now -. started))
-              end)
-            outcome
-        end;
-        Ok (Array.map (function Some m -> m | None -> assert false) outcome)
-    end
-  end
-
 (** Live workers still traceable through this pool's slots: a post-shutdown
     smoke check for orphans (always 0 after a clean {!shutdown}). *)
 let orphans (t : _ t) =
@@ -726,15 +522,15 @@ let shutdown (t : _ t) =
   Mutex.lock t.mutex;
   t.closed <- true;
   Condition.broadcast t.free_cond;
-  (* Quiesce before teardown: every in-flight [call]/[call_race] holds its
-     slots until its [Fun.protect] finalizer releases them, and race
-     cancellation (loser SIGKILL + reap) happens before that release.  Waiting
-     for the free queue to refill therefore orders the teardown below — and
-     any post-shutdown [orphans] audit — strictly after all cancellation
-     work.  Closing pipes under an active race used to make the racer's
-     respawn logic fork fresh workers that teardown had already walked past,
-     leaking them past the audit.  In-flight work is deadline-bounded
-     ([max_call_s], race [kill_at]), so this wait terminates. *)
+  (* Quiesce before teardown: every in-flight [call] holds its slot until
+     its [Fun.protect] finalizer releases it, and a hard kill (SIGKILL +
+     respawn notice) happens before that release.  Waiting for the free
+     queue to refill therefore orders the teardown below — and any
+     post-shutdown [orphans] audit — strictly after all in-flight work.
+     Closing pipes under an active call would let its supervisor fork a
+     fresh worker that teardown had already walked past, leaking it past
+     the audit.  In-flight work is deadline-bounded ([max_call_s],
+     [kill_at]), so this wait terminates. *)
   while Queue.length t.free < t.n_jobs do
     Condition.wait t.free_cond t.mutex
   done;

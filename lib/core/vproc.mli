@@ -101,43 +101,10 @@ val call : ?kill_at:float -> ('req, 'resp) t -> 'req -> ('resp, failure) result
     [Error (Killed _)].  Every failure mode is a value; [call] itself never
     raises on a dead worker. *)
 
-(** {1 Portfolio racing} *)
-
-type 'resp race_member =
-  | Race_done of 'resp * float
-      (** the member answered, this many seconds into the race *)
-  | Race_cancelled of float
-      (** SIGKILLed as a loser this many seconds in, after another member
-          won — cancellation is policy, not failure, so the slot takes no
-          backoff penalty (the supervisor respawns the worker as usual) *)
-  | Race_failed of failure
-
-val call_race :
-  ?kill_at:float ->
-  decide:(int -> 'resp -> [ `Win | `Continue ]) ->
-  ('req, 'resp) t ->
-  'req list ->
-  ('resp race_member array, failure) result
-(** Race one request per member across distinct workers simultaneously.
-    All slots are acquired atomically (all-or-nothing, so two concurrent
-    races can never deadlock each other holding partial sets), every
-    request is dispatched before any response is read, and responses are
-    consumed as they land.  [decide i resp] inspects member [i]'s response:
-    [`Win] declares it the winner and every still-running member is
-    promptly SIGKILLed ([Race_cancelled]); [`Continue] keeps waiting (an
-    inconclusive leg, or a cube leg that only counts toward a join).  The
-    result array is indexed like the request list.  Past [kill_at] all
-    still-running members become [Race_failed (Killed _)].  Members beyond
-    the pool's slot count fail with [Unavailable] rather than queue — size
-    the pool to the portfolio.  The top-level [Error] only reports a closed
-    pool. *)
-
 val orphans : _ t -> int
 (** Workers still alive according to this pool's pid notices — a
-    post-{!shutdown} smoke check that racing left no orphaned processes
+    post-{!shutdown} smoke check that the pool left no orphaned processes
     behind (always [0] after a clean shutdown). *)
-
-val jobs : _ t -> int
 
 val slots_available : _ t -> int
 (** Slots whose supervisor came up and is still believed alive.  [0] means
@@ -146,10 +113,10 @@ val slots_available : _ t -> int
 
 val shutdown : _ t -> unit
 (** Kill and reap every worker and supervisor.  Closes admission first, then
-    blocks until every in-flight [call]/[call_race] has finished (in-flight
-    work is deadline-bounded, so this terminates) before tearing slots down —
-    a concurrent racer's cancellation/reap path therefore always completes
-    before teardown, and a post-shutdown {!orphans} audit is well-ordered. *)
+    blocks until every in-flight [call] has finished (in-flight work is
+    deadline-bounded, so this terminates) before tearing slots down — a
+    concurrent caller's kill/respawn path therefore always completes before
+    teardown, and a post-shutdown {!orphans} audit is well-ordered. *)
 
 type stats = {
   spawned : int;  (** worker forks observed, initial and respawn *)
@@ -157,7 +124,6 @@ type stats = {
   crashed : int;  (** workers that died on their own (OOM, signal, exit) *)
   respawned : int;  (** forks replacing a killed/crashed worker *)
   frames : int;  (** completed request/response round trips *)
-  cancelled : int;  (** race losers SIGKILLed after a winner (no backoff) *)
 }
 
 val stats : unit -> stats

@@ -18,8 +18,8 @@ type ctx = {
   bool_vars : (string, int) Hashtbl.t;
 }
 
-let create ?config () =
-  let sat = Sat.create ?config () in
+let create () =
+  let sat = Sat.create () in
   let tv = Sat.new_var sat in
   let true_lit = Sat.lit_of_var tv in
   Sat.add_clause sat [ true_lit ];

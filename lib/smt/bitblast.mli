@@ -12,9 +12,7 @@ type ctx = {
   bool_vars : (string, int) Hashtbl.t;
 }
 
-val create : ?config:Sat.config -> unit -> ctx
-(** [config] diversifies the underlying SAT solver (see {!Sat.config});
-    omitted means {!Sat.default_config}. *)
+val create : unit -> ctx
 
 val blast_bool : ctx -> Expr.t -> int
 val blast_bv : ctx -> Expr.t -> int array

@@ -59,11 +59,6 @@ let insert t v =
 
 let size t = t.size
 
-(** The element at heap-array position [i] (0 <= i < size); position is an
-    implementation detail, so this is only useful for sampling a uniformly
-    random in-heap element. *)
-let choose t i = t.heap.(i)
-
 (** Remove an arbitrary element, restoring heap order around the hole. *)
 let remove t v =
   if in_heap t v then (

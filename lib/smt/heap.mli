@@ -9,11 +9,6 @@ val size : t -> int
 val insert : t -> int -> unit
 val pop_max : t -> int
 
-val choose : t -> int -> int
-(** The element at heap-array position [i] (0 <= i < {!size}); positions are
-    an implementation detail, so this is only useful for sampling a random
-    in-heap element. *)
-
 val remove : t -> int -> unit
 (** Remove an arbitrary element (no-op if absent), restoring heap order. *)
 

@@ -10,57 +10,6 @@
 
 type result = Sat | Unsat | Unknown
 
-(* ------------------------------------------------------------------ *)
-(* Diversification knobs.  A portfolio races several solvers over the same
-   instance; what makes the race worth running is that the members explore
-   *different* trajectories.  Every knob below changes the trajectory only,
-   never the verdict, and every knob is deterministic: the same config on
-   the same instance replays the same search bit for bit.  [default] is
-   pinned to the historical behavior of this solver — seed 0, Luby restarts
-   with base 100, all-false initial phases, no random decisions — so a
-   1-member portfolio is indistinguishable from the pre-portfolio solver. *)
-
-type restart_schedule = Luby | Geometric
-
-type init_phase = Phase_false | Phase_true | Phase_random
-
-type config = {
-  seed : int;
-      (* seeds the per-solver PRNG (VSIDS tie-breaking noise, random phases
-         and random decisions); 0 = no activity noise, the legacy order *)
-  restarts : restart_schedule;
-  restart_base : int; (* conflicts before the first restart *)
-  restart_growth : float; (* Geometric only: interval multiplier *)
-  init_phase : init_phase;
-  random_var_freq : float; (* fraction of decisions picking a random var *)
-  reduce_first : int; (* learned-DB size triggering the first reduction *)
-}
-
-let default_config =
-  {
-    seed = 0;
-    restarts = Luby;
-    restart_base = 100;
-    restart_growth = 1.5;
-    init_phase = Phase_false;
-    random_var_freq = 0.;
-    reduce_first = 2000;
-  }
-
-(* Compact label for winner histograms and cache keys. *)
-let describe_config c =
-  let r =
-    match c.restarts with
-    | Luby -> Printf.sprintf "luby%d" c.restart_base
-    | Geometric -> Printf.sprintf "geo%d x%.2g" c.restart_base c.restart_growth
-  in
-  let p =
-    match c.init_phase with Phase_false -> "pF" | Phase_true -> "pT" | Phase_random -> "pR"
-  in
-  let rv = if c.random_var_freq > 0. then Printf.sprintf ":rv%.2g" c.random_var_freq else "" in
-  let rf = if c.reduce_first <> 2000 then Printf.sprintf ":rf%d" c.reduce_first else "" in
-  Printf.sprintf "s%d:%s:%s%s%s" c.seed r p rv rf
-
 let lit_of_var ?(sign = true) v = if sign then 2 * v else (2 * v) + 1
 let var_of_lit l = l lsr 1
 let lit_neg l = l lxor 1
@@ -89,8 +38,6 @@ type db_stats = {
 }
 
 type t = {
-  config : config;
-  mutable rng : int64; (* splitmix64 state, seeded from [config.seed] *)
   mutable nvars : int;
   mutable clauses : clause array; (* growable *)
   mutable nclauses : int;
@@ -123,11 +70,9 @@ type t = {
   lbd_hist : int array;
 }
 
-let create ?(config = default_config) () =
+let create () =
   let activity = ref (Array.make 8 0.) in
   {
-    config;
-    rng = Int64.of_int config.seed;
     nvars = 0;
     clauses =
       Array.make 64 { lits = [||]; learned = false; lbd = 0; act = 0.; deleted = false };
@@ -159,26 +104,6 @@ let create ?(config = default_config) () =
     max_db = 0;
     lbd_hist = Array.make lbd_buckets 0;
   }
-
-let config t = t.config
-
-(* Splitmix64: a tiny deterministic PRNG private to each solver instance, so
-   seeded trajectories replay exactly regardless of what any other solver in
-   the process (or the global [Random] state) is doing. *)
-let rng_next t =
-  t.rng <- Int64.add t.rng 0x9E3779B97F4A7C15L;
-  let z = t.rng in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-let rng_bool t = Int64.logand (rng_next t) 1L = 1L
-
-let rng_float t =
-  (* 30 uniform bits in [0, 1) *)
-  float_of_int (Int64.to_int (Int64.logand (rng_next t) 0x3FFFFFFFL)) /. 1073741824.
-
-let rng_below t n = Int64.to_int (Int64.rem (Int64.logand (rng_next t) Int64.max_int) (Int64.of_int n))
 
 let grow_arrays t n =
   let old = Array.length t.assign in
@@ -213,17 +138,6 @@ let new_var t =
   grow_arrays t (v + 1);
   grow_watches t (2 * (v + 1));
   Heap.insert t.order v;
-  (match t.config.init_phase with
-  | Phase_false -> ()
-  | Phase_true -> t.phase.(v) <- true
-  | Phase_random -> t.phase.(v) <- rng_bool t);
-  (* Seeded VSIDS tie-breaking: a sub-bump activity perturbation makes the
-     all-zeros start order a deterministic function of the seed instead of
-     pure insertion order.  Seed 0 keeps the legacy order untouched. *)
-  if t.config.seed <> 0 then begin
-    !(t.activity).(v) <- rng_float t *. 1e-9;
-    Heap.notify_increase t.order v
-  end;
   v
 
 let value_lit t l =
@@ -522,19 +436,7 @@ let decide t =
       let v = Heap.pop_max t.order in
       if t.assign.(v) < 0 then v else pick ()
   in
-  (* Diversification: occasionally decide on a random heap element instead
-     of the activity maximum (MiniSat's random_var_freq). *)
-  let random_pick () =
-    if t.config.random_var_freq <= 0. || Heap.is_empty t.order then -1
-    else if rng_float t >= t.config.random_var_freq then -1
-    else
-      let v = Heap.choose t.order (rng_below t (Heap.size t.order)) in
-      if t.assign.(v) < 0 then (
-        Heap.remove t.order v;
-        v)
-      else -1
-  in
-  let v = match random_pick () with -1 -> pick () | v -> v in
+  let v = pick () in
   if v < 0 then false
   else (
     t.decisions <- t.decisions + 1;
@@ -568,28 +470,20 @@ let luby x =
    alone and remain sound for later calls with different assumptions.  The
    conflict budget is per-call (a delta against the entry count), not
    cumulative over the solver's lifetime. *)
-(* Restart interval for restart number [k], per the config's schedule.  The
-   default (Luby, base 100) is the historical hardcoded behavior. *)
-let restart_interval t k =
-  match t.config.restarts with
-  | Luby -> int_of_float (float_of_int t.config.restart_base *. luby k)
-  | Geometric ->
-    int_of_float (float_of_int t.config.restart_base *. (t.config.restart_growth ** float_of_int k))
+(* Restart interval for restart number [k]: Luby with base 100. *)
+let restart_interval k = int_of_float (100. *. luby k)
 
-let solve ?(max_conflicts = 200_000) ?deadline ?(reduce = true) ?reduce_first
+let solve ?(max_conflicts = 200_000) ?deadline ?(reduce = true) ?(reduce_first = 2000)
     ?(assumptions = []) t =
   if t.unsat then Unsat
   else begin
     backtrack t 0;
-    let reduce_first =
-      match reduce_first with Some r -> r | None -> t.config.reduce_first
-    in
     let assumptions = Array.of_list assumptions in
     let n_assumptions = Array.length assumptions in
     let conflicts0 = t.conflicts in
     let result = ref None in
     let restart_count = ref 0 in
-    let until_restart = ref (restart_interval t 0) in
+    let until_restart = ref (restart_interval 0) in
     (* Geometric reduction schedule: when the live learned DB reaches the
        threshold, delete the worse half and grow the threshold by 3/2 —
        interleaved with the Luby restarts, which periodically unlock
@@ -643,7 +537,7 @@ let solve ?(max_conflicts = 200_000) ?deadline ?(reduce = true) ?reduce_first
       else if !until_restart <= 0 then begin
         incr restart_count;
         t.n_restarts <- t.n_restarts + 1;
-        until_restart := restart_interval t !restart_count;
+        until_restart := restart_interval !restart_count;
         backtrack t 0
       end
       else if Vec.length t.trail_lim < n_assumptions then begin
@@ -667,33 +561,6 @@ let model_value t v = t.assign.(v) = 1
 
 let stats t = (t.conflicts, t.decisions, t.propagations)
 let restarts t = t.n_restarts
-
-(* ------------------------------------------------------------------ *)
-(* Cube-and-conquer support *)
-
-(** The [k] highest-activity variables not fixed at level 0 — the natural
-    split variables after a budget-limited probe has shaped the VSIDS
-    order.  Ties break toward the lower index, so the pick is deterministic
-    for a given trajectory. *)
-let top_vars t k =
-  let candidates = ref [] in
-  for v = t.nvars - 1 downto 0 do
-    if not (t.assign.(v) >= 0 && t.level.(v) = 0) then candidates := v :: !candidates
-  done;
-  let a = !(t.activity) in
-  let sorted =
-    List.stable_sort (fun v w -> compare a.(w) a.(v)) !candidates
-  in
-  List.filteri (fun i _ -> i < k) sorted
-
-(** Level-0 trail literals: unit consequences of the clause DB alone (every
-    assumption occupies its own decision level >= 1, so nothing here depends
-    on assumptions).  Sound to conjoin to any solver over the same DB —
-    this is what cube workers ship back for the merge at join. *)
-let implied_units t =
-  let acc = ref [] in
-  Vec.iter (fun l -> if t.level.(var_of_lit l) = 0 then acc := l :: !acc) t.trail;
-  List.rev !acc
 
 let db_stats t =
   {

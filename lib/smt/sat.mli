@@ -4,40 +4,14 @@
     conflict budget turns hard instances into [Unknown] (the verifier's
     "inconclusive").
 
+    There is one search configuration: Luby restarts with base 100, every
+    variable's initial phase false, VSIDS ties left in heap insertion order,
+    no random decisions, and a first DB reduction at 2000 learned clauses.  The
+    same instance therefore replays the same search bit for bit.
+
     Literals: variable [v >= 0]; positive literal [2v], negative [2v+1]. *)
 
 type result = Sat | Unsat | Unknown
-
-(** {1 Diversification}
-
-    Portfolio members race the same instance under different trajectories.
-    Every knob changes the search path only — never the verdict — and every
-    knob is deterministic: the same config replays the same search bit for
-    bit.  {!default_config} (seed 0, Luby base 100, all-false phases, no
-    random decisions) reproduces the pre-portfolio solver exactly. *)
-
-type restart_schedule = Luby | Geometric
-
-type init_phase = Phase_false | Phase_true | Phase_random
-
-type config = {
-  seed : int;
-      (** seeds the per-solver PRNG (VSIDS tie-breaking noise, random phases
-          and random decisions); [0] disables the activity perturbation,
-          keeping the legacy tie order *)
-  restarts : restart_schedule;
-  restart_base : int;  (** conflicts before the first restart *)
-  restart_growth : float;  (** [Geometric] only: interval multiplier *)
-  init_phase : init_phase;
-  random_var_freq : float;  (** fraction of decisions picking a random var *)
-  reduce_first : int;  (** learned-DB size triggering the first reduction *)
-}
-
-val default_config : config
-
-val describe_config : config -> string
-(** Compact stable label ("s0:luby100:pF"), for winner histograms and cache
-    keys. *)
 
 val lit_of_var : ?sign:bool -> int -> int
 val var_of_lit : int -> int
@@ -46,8 +20,7 @@ val lit_sign : int -> bool
 
 type t
 
-val create : ?config:config -> unit -> t
-val config : t -> config
+val create : unit -> t
 val new_var : t -> int
 
 val add_clause : t -> int list -> unit
@@ -81,8 +54,8 @@ val solve :
     threshold grows geometrically (x3/2).  Glue clauses (LBD <= 2), binary
     clauses and locked reason clauses are never deleted.  Reduction changes
     the search trajectory but never the verdict; [?reduce:false] exists so
-    differential harnesses can check exactly that.  [reduce_first] defaults
-    to the instance config's [reduce_first]. *)
+    differential harnesses can check exactly that, and [reduce_first] lets
+    them force early reductions. *)
 
 val model_value : t -> int -> bool
 (** Variable assignment after [Sat]. *)
@@ -111,20 +84,6 @@ val db_stats : t -> db_stats
 
 val num_vars : t -> int
 val num_clauses : t -> int
-
-(** {1 Cube-and-conquer support} *)
-
-val top_vars : t -> int -> int list
-(** The [k] highest-activity variables not fixed at level 0 — the natural
-    split variables after a budget-limited probe has shaped the VSIDS
-    order.  Deterministic for a given trajectory (ties break toward the
-    lower index). *)
-
-val implied_units : t -> int list
-(** Level-0 trail literals: unit consequences of the clause DB alone (never
-    of any assumption, which each occupy a decision level >= 1).  Sound to
-    conjoin to any solver over the same clause DB — what cube workers ship
-    back for the merge at join. *)
 
 val check_invariants : t -> unit
 (** Structural invariants of the clause DB — no deleted clause is watched,

@@ -85,8 +85,8 @@ let rec bump_max counter n =
 (* Worker-side aggregation: a forked verification worker accumulates its SAT
    work in its own copy of these atomics, invisible to the parent.  The
    worker ships [diff after before] back in the response frame and the
-   parent [absorb]s it, so Report and the bench JSON see portfolio members'
-   counters — losers included — not just the parent's own solves. *)
+   parent [absorb]s it, so Report and the bench JSON see the workers'
+   counters, not just the parent's own solves. *)
 
 let diff (a : stats) (b : stats) : stats =
   {
@@ -165,9 +165,8 @@ let solve_ctx ~max_conflicts ?deadline ?(assumptions = []) (ctx : Bitblast.ctx) 
 
 (** Decide [/\ assertions].  [max_conflicts] is the conflict-count budget;
     [deadline] is an absolute wall-clock instant checked in the SAT loop
-    alongside it.  Exhausting either yields [Unknown].  [config]
-    diversifies the underlying solver (portfolio members). *)
-let check ?(max_conflicts = 200_000) ?deadline ?config (assertions : Expr.t list) : outcome =
+    alongside it.  Exhausting either yields [Unknown]. *)
+let check ?(max_conflicts = 200_000) ?deadline (assertions : Expr.t list) : outcome =
   let expired () =
     match deadline with None -> false | Some d -> Unix.gettimeofday () > d
   in
@@ -184,73 +183,9 @@ let check ?(max_conflicts = 200_000) ?deadline ?config (assertions : Expr.t list
     Unsat
   end
   else begin
-    let ctx = Bitblast.create ?config () in
+    let ctx = Bitblast.create () in
     List.iter (Bitblast.assert_term ctx) assertions;
     solve_ctx ~max_conflicts ?deadline ctx
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Probes and cubes (cube-and-conquer support).
-
-   A probe is a budget-limited solve whose context stays alive afterwards:
-   when it comes back [Unknown], its VSIDS activity order names the top
-   split variables, and its solver is the join point where unit clauses
-   learned by cube workers are merged and cheaply re-propagated.
-
-   Soundness of shipping raw literals across processes: bit-blasting a
-   fixed assertion list in a fresh context allocates SAT variables in
-   deterministic (structural traversal) order, so two processes blasting
-   the same query agree on every variable index. *)
-
-type probe = { pctx : Bitblast.ctx }
-
-let probe_check ?(max_conflicts = 200_000) ?deadline ?config (assertions : Expr.t list) :
-    probe * outcome =
-  let ctx = Bitblast.create ?config () in
-  List.iter (Bitblast.assert_term ctx) assertions;
-  let o = solve_ctx ~max_conflicts ?deadline ctx in
-  ({ pctx = ctx }, o)
-
-let probe_top_vars (p : probe) k = Sat.top_vars p.pctx.Bitblast.sat k
-
-let probe_add_units (p : probe) (units : int list) =
-  List.iter (fun l -> Sat.add_clause p.pctx.Bitblast.sat [ l ]) units
-
-let probe_resolve ?(max_conflicts = 10_000) ?deadline (p : probe) : outcome =
-  solve_ctx ~max_conflicts ?deadline p.pctx
-
-(** Decide [/\ assertions] under a cube of raw assumption literals, and
-    return the level-0 unit literals learned along the way (global
-    consequences of the clause DB, safe to merge at the join).  Out-of-range
-    cube literals — a blast mismatch between planner and worker — degrade to
-    [Unknown] rather than crash. *)
-let check_cube ?(max_conflicts = 200_000) ?deadline ?config ~(cube : int list)
-    (assertions : Expr.t list) : outcome * int list =
-  let expired () =
-    match deadline with None -> false | Some d -> Unix.gettimeofday () > d
-  in
-  if Fault.fire Fault.Solver_timeout || expired () then begin
-    bump s_checks 1;
-    bump s_unknown 1;
-    (Unknown, [])
-  end
-  else if List.exists (fun (t : Expr.t) -> t.Expr.node = Expr.False) assertions then begin
-    bump s_checks 1;
-    bump s_unsat 1;
-    (Unsat, [])
-  end
-  else begin
-    let ctx = Bitblast.create ?config () in
-    List.iter (Bitblast.assert_term ctx) assertions;
-    let sat = ctx.Bitblast.sat in
-    if List.exists (fun l -> Sat.var_of_lit l >= Sat.num_vars sat) cube then begin
-      bump s_checks 1;
-      bump s_unknown 1;
-      (Unknown, [])
-    end
-    else
-      let o = solve_ctx ~max_conflicts ?deadline ~assumptions:cube ctx in
-      (o, Sat.implied_units sat)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -271,10 +206,10 @@ module Session = struct
     mutable released : bool;
   }
 
-  let create ?config () =
+  let create () =
     bump s_sessions 1;
     {
-      ctx = Bitblast.create ?config ();
+      ctx = Bitblast.create ();
       asserted = Hashtbl.create 64;
       checks = 0;
       conflicts_used = 0;

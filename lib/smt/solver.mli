@@ -40,13 +40,12 @@ val diff : stats -> stats -> stats
 
 val absorb : stats -> unit
 (** Fold a worker-shipped delta into this process's counters, so Report and
-    bench JSON aggregate portfolio members' work — losers included — not
-    just the parent's own solves. *)
+    bench JSON count the work forked workers did, not just the parent's own
+    solves. *)
 
 val check :
   ?max_conflicts:int ->
   ?deadline:float ->
-  ?config:Sat.config ->
   Expr.t list ->
   outcome
 (** Decide the conjunction of the assertions.  [max_conflicts] is the
@@ -54,56 +53,7 @@ val check :
     [Unix.gettimeofday] instant checked in the SAT loop alongside it.
     Exceeding either yields [Unknown], so a hostile query can exhaust at
     most its budget — it can never hang the caller.  The SAT core always
-    runs with learned-clause-DB reduction on.  [config] diversifies the
-    underlying SAT solver (portfolio members); omitted means
-    {!Sat.default_config}. *)
-
-(** {1 Probes and cubes}
-
-    Cube-and-conquer support.  A {e probe} is a budget-limited solve whose
-    context stays alive: on [Unknown] its VSIDS activity order names the
-    top split variables, and its solver is the join point where unit
-    clauses learned by cube workers are merged and re-propagated.  Raw SAT
-    literals are meaningful across processes because bit-blasting a fixed
-    assertion list in a fresh context allocates variables in deterministic
-    structural order. *)
-
-type probe
-
-val probe_check :
-  ?max_conflicts:int ->
-  ?deadline:float ->
-  ?config:Sat.config ->
-  Expr.t list ->
-  probe * outcome
-(** Like {!check}, but keeps the context alive for splitting and joining.
-    A [Sat] model's closures read live probe state and stay valid until the
-    next operation on this probe. *)
-
-val probe_top_vars : probe -> int -> int list
-(** The probe solver's top-[k] split variables (see {!Sat.top_vars}). *)
-
-val probe_add_units : probe -> int list -> unit
-(** Conjoin unit literals learned by cube workers.  Only sound for level-0
-    units over the {e same} query ({!Sat.implied_units} of a worker that
-    blasted the identical assertion list). *)
-
-val probe_resolve : ?max_conflicts:int -> ?deadline:float -> probe -> outcome
-(** Re-solve after the merge, on a small budget (default 10k conflicts):
-    units from different cubes may be jointly conclusive. *)
-
-val check_cube :
-  ?max_conflicts:int ->
-  ?deadline:float ->
-  ?config:Sat.config ->
-  cube:int list ->
-  Expr.t list ->
-  outcome * int list
-(** Decide [/\ assertions] under a cube of raw assumption literals; also
-    returns the level-0 unit literals learned (consequences of the clause
-    DB alone, safe to {!probe_add_units} at the join).  [Unsat] means
-    "unsatisfiable within this cube" only.  Out-of-range cube literals — a
-    blast mismatch between planner and worker — degrade to [Unknown]. *)
+    runs with learned-clause-DB reduction on. *)
 
 val valid : ?max_conflicts:int -> ?deadline:float -> Expr.t -> outcome
 (** [valid t]: [Unsat] means [t] holds under all assignments; [Sat m] is a
@@ -121,8 +71,7 @@ val valid : ?max_conflicts:int -> ?deadline:float -> Expr.t -> outcome
 module Session : sig
   type t
 
-  val create : ?config:Sat.config -> unit -> t
-  (** [config] diversifies the session's SAT solver (see {!Sat.config}). *)
+  val create : unit -> t
 
   val assert_ : t -> Expr.t -> unit
   (** Permanently conjoin a term.  Terms already asserted in this session

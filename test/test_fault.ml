@@ -253,8 +253,6 @@ let vcache_tests =
             tgt = "";
             unroll = 4;
             max_conflicts = 1;
-            portfolio = 1;
-            sat = "s0:luby100:pF";
           }
         in
         let (c : int Vcache.t) = Vcache.create ~capacity:2 () in
@@ -284,8 +282,6 @@ let vcache_tests =
             tgt = "";
             unroll = 0;
             max_conflicts = 0;
-            portfolio = 1;
-            sat = "s0:luby100:pF";
           }
           9;
         Vcache.reset c;

@@ -15,7 +15,6 @@
 module Sat = Veriopt_smt.Sat
 module Expr = Veriopt_smt.Expr
 module Solver = Veriopt_smt.Solver
-module Portfolio = Veriopt_smt.Portfolio
 
 let fuzz_n =
   match Sys.getenv_opt "VERIOPT_FUZZ_N" with
@@ -341,257 +340,6 @@ let solver_stats_monotonic_test () =
   Alcotest.(check int) "reset zeroes learned" 0 r.Solver.learned;
   Alcotest.(check int) "reset zeroes the histogram" 0 (Array.fold_left ( + ) 0 r.Solver.lbd_hist)
 
-(* ------------------------------------------------------------------ *)
-(* Portfolio diversification and cube-and-conquer.
-
-   The portfolio knobs (seed, restart schedule, initial phase, decision
-   noise, reduction cadence) change the search trajectory only — never the
-   verdict — and every config is deterministic.  These campaigns pin both
-   halves: zero conclusive flips across diversified members, and
-   bit-reproducibility under an explicit config. *)
-
-(* Everything about a solve that could possibly diverge between two runs:
-   verdict, search counters, restarts, DB accounting, and the model. *)
-let solve_trace ?config (c : cnf) =
-  let s = match config with None -> Sat.create () | Some config -> Sat.create ~config () in
-  let vars = Array.init c.nvars (fun _ -> Sat.new_var s) in
-  List.iter
-    (fun clause ->
-      Sat.add_clause s (List.map (fun (v, sign) -> Sat.lit_of_var ~sign vars.(v)) clause))
-    c.clauses;
-  let r = Sat.solve s in
-  Sat.check_invariants s;
-  let model =
-    if r = Sat.Sat then List.init c.nvars (fun v -> Sat.model_value s vars.(v)) else []
-  in
-  let db = Sat.db_stats s in
-  (r, Sat.stats s, Sat.restarts s, (db.Sat.learned, db.Sat.deleted, db.Sat.reductions), model)
-
-let seed_determinism_test () =
-  (* member 0 of any portfolio IS the pre-portfolio solver *)
-  (match Portfolio.members 1 with
-  | [ m ] ->
-    Alcotest.(check string) "member 0 label" "s0:luby100:pF" m.Portfolio.label;
-    Alcotest.(check bool) "member 0 is the default config" true
-      (m.Portfolio.config = Sat.default_config)
-  | l -> Alcotest.failf "members 1 returned %d members" (List.length l));
-  Alcotest.(check string) "default config label" "s0:luby100:pF"
-    (Sat.describe_config Sat.default_config);
-  let st = Random.State.make [| 0xd37; 20260808 |] in
-  let seeded =
-    { Sat.default_config with Sat.seed = 42; init_phase = Sat.Phase_random; random_var_freq = 0.05 }
-  in
-  for case = 1 to 60 do
-    let c = gen_case st in
-    (* the explicit default config replays the unconfigured solver bit for
-       bit: same verdict, same conflict/decision/propagation counts, same
-       restarts, same DB history, same model *)
-    if solve_trace c <> solve_trace ~config:Sat.default_config c then
-      Alcotest.failf "case %d: default_config diverged from the unconfigured solver on %s" case
-        (show_cnf c);
-    (* a seeded, randomized config is still deterministic run to run *)
-    if solve_trace ~config:seeded c <> solve_trace ~config:seeded c then
-      Alcotest.failf "case %d: seeded config is not reproducible on %s" case (show_cnf c)
-  done
-
-let portfolio_fuzz () =
-  let st = Random.State.make [| 0x90f; 20260808 |] in
-  let n = max 100 (fuzz_n / 20) in
-  let members = Portfolio.members ~base_seed:7 4 in
-  Alcotest.(check int) "four members" 4 (List.length members);
-  Alcotest.(check int) "member labels are distinct" 4
-    (List.length (List.sort_uniq compare (List.map (fun m -> m.Portfolio.label) members)));
-  let sat_cases = ref 0 in
-  for case = 1 to n do
-    let c = gen_case st in
-    let expected = brute_force c in
-    if expected then incr sat_cases;
-    List.iter
-      (fun m ->
-        let s = Sat.create ~config:m.Portfolio.config () in
-        let vars = Array.init c.nvars (fun _ -> Sat.new_var s) in
-        List.iter
-          (fun clause ->
-            Sat.add_clause s (List.map (fun (v, sign) -> Sat.lit_of_var ~sign vars.(v)) clause))
-          c.clauses;
-        (match Sat.solve s with
-        | Sat.Sat ->
-          if not expected then
-            Alcotest.failf "case %d: member %s flipped UNSAT to SAT on %s" case m.Portfolio.label
-              (show_cnf c);
-          if not (model_satisfies c s vars) then
-            Alcotest.failf "case %d: member %s model violates a clause on %s" case
-              m.Portfolio.label (show_cnf c)
-        | Sat.Unsat ->
-          if expected then
-            Alcotest.failf "case %d: member %s flipped SAT to UNSAT on %s" case m.Portfolio.label
-              (show_cnf c)
-        | Sat.Unknown ->
-          Alcotest.failf "case %d: member %s exhausted its budget on a tiny instance: %s" case
-            m.Portfolio.label (show_cnf c));
-        Sat.check_invariants s)
-      members
-  done;
-  Fmt.epr "sat-fuzz portfolio: %d cases x 4 members, zero conclusive flips (%d SAT)@." n
-    !sat_cases;
-  Alcotest.(check bool) "mixed verdicts in the campaign" true (!sat_cases > 0 && !sat_cases < n)
-
-(* Small instances only: the partition check enumerates every assignment
-   against every cube, and the unit-soundness check enumerates models. *)
-let gen_small st : cnf =
-  let nvars = 4 + Random.State.int st 7 in
-  let ratio = 2.0 +. Random.State.float st 3.0 in
-  let nclauses = max 1 (int_of_float (ratio *. float_of_int nvars)) in
-  let clause () =
-    let len = [| 2; 3; 3; 3; 4 |].(Random.State.int st 5) in
-    List.init len (fun _ -> (Random.State.int st nvars, Random.State.bool st))
-  in
-  { nvars; clauses = List.init nclauses (fun _ -> clause ()) }
-
-let lit_sat mask lit = mask land (1 lsl Sat.var_of_lit lit) <> 0 = Sat.lit_sign lit
-
-let models { nvars; clauses } =
-  let masks =
-    List.map
-      (fun c ->
-        List.fold_left
-          (fun (p, n) (v, sign) ->
-            let bit = 1 lsl v in
-            if sign then (p lor bit, n) else (p, n lor bit))
-          (0, 0) c)
-      clauses
-  in
-  List.filter
-    (fun a -> List.for_all (fun (p, n) -> a land p <> 0 || lnot a land n <> 0) masks)
-    (List.init (1 lsl nvars) Fun.id)
-
-let cube_fuzz () =
-  let st = Random.State.make [| 0xcbe; 20260808 |] in
-  let n = max 100 (fuzz_n / 25) in
-  let unsat_cases = ref 0 and total_units = ref 0 in
-  for case = 1 to n do
-    let c = gen_small st in
-    let expected = brute_force c in
-    if not expected then incr unsat_cases;
-    (* k distinct split variables, randomly chosen — the partition and merge
-       properties must hold for ANY split set, not just VSIDS picks *)
-    let k = 1 + Random.State.int st 3 in
-    let vars =
-      let all = Array.init c.nvars Fun.id in
-      for i = c.nvars - 1 downto 1 do
-        let j = Random.State.int st (i + 1) in
-        let t = all.(i) in
-        all.(i) <- all.(j);
-        all.(j) <- t
-      done;
-      Array.to_list (Array.sub all 0 (min k c.nvars))
-    in
-    let cubes = Portfolio.cube_lits ~vars in
-    Alcotest.(check int)
-      (Fmt.str "case %d: 2^k cubes" case)
-      (1 lsl List.length vars) (List.length cubes);
-    for mask = 0 to (1 lsl c.nvars) - 1 do
-      let sat_count =
-        List.length (List.filter (fun cube -> List.for_all (lit_sat mask) cube) cubes)
-      in
-      if sat_count <> 1 then
-        Alcotest.failf "case %d: assignment %d satisfies %d cubes, not exactly one" case mask
-          sat_count
-    done;
-    let mods = models c in
-    let results =
-      List.map
-        (fun cube ->
-          let s = Sat.create () in
-          let sv = Array.init c.nvars (fun _ -> Sat.new_var s) in
-          List.iter
-            (fun clause ->
-              Sat.add_clause s (List.map (fun (v, sign) -> Sat.lit_of_var ~sign sv.(v)) clause))
-            c.clauses;
-          let r = Sat.solve ~assumptions:cube s in
-          Sat.check_invariants s;
-          (match r with
-          | Sat.Sat ->
-            if not (model_satisfies c s sv) then
-              Alcotest.failf "case %d: cube model violates a clause on %s" case (show_cnf c);
-            if
-              not
-                (List.for_all
-                   (fun lit -> Sat.model_value s (Sat.var_of_lit lit) = Sat.lit_sign lit)
-                   cube)
-            then Alcotest.failf "case %d: cube model ignores its cube on %s" case (show_cnf c)
-          | _ -> ());
-          (* implied units are consequences of the clause DB alone (never of
-             the cube assumptions): every model of the full CNF satisfies
-             each one — exactly what makes merging them at a join sound *)
-          let units = Sat.implied_units s in
-          total_units := !total_units + List.length units;
-          List.iter
-            (fun u ->
-              List.iter
-                (fun m ->
-                  if not (lit_sat m u) then
-                    Alcotest.failf "case %d: implied unit %d falsified by a model of %s" case u
-                      (show_cnf c))
-                mods)
-            units;
-          r)
-        cubes
-    in
-    match (Portfolio.merge results, expected) with
-    | Sat.Sat, true | Sat.Unsat, false -> ()
-    | Sat.Sat, false ->
-      Alcotest.failf "case %d: cube merge SAT, brute force UNSAT on %s" case (show_cnf c)
-    | Sat.Unsat, true ->
-      Alcotest.failf "case %d: cube merge UNSAT, brute force SAT on %s" case (show_cnf c)
-    | Sat.Unknown, _ ->
-      Alcotest.failf "case %d: cube merge Unknown on a tiny instance: %s" case (show_cnf c)
-  done;
-  Fmt.epr "sat-fuzz cubes: %d cases (%d UNSAT), %d implied units audited@." n !unsat_cases
-    !total_units;
-  Alcotest.(check bool) "mixed verdicts in the campaign" true
-    (!unsat_cases > 0 && !unsat_cases < n)
-
-let cube_conquer_php_test () =
-  (* the production shape end to end, in-process: probe on a tiny budget,
-     split on the probe's top VSIDS variables, conquer each cube to
-     completion, merge — the partition refutes PHP(7,6) *)
-  let probe = Sat.create () in
-  pigeonhole probe ~pigeons:7 ~holes:6;
-  Alcotest.(check bool) "probe budget exhausted" true
-    (Sat.solve ~max_conflicts:100 probe = Sat.Unknown);
-  let vars = Sat.top_vars probe 3 in
-  Alcotest.(check int) "three split vars" 3 (List.length vars);
-  Alcotest.(check int) "split vars distinct" 3 (List.length (List.sort_uniq compare vars));
-  List.iter
-    (fun v ->
-      Alcotest.(check bool) "split var in range" true (v >= 0 && v < Sat.num_vars probe))
-    vars;
-  Alcotest.(check bool) "top_vars is deterministic" true (Sat.top_vars probe 3 = vars);
-  let cubes = Portfolio.cube_lits ~vars in
-  Alcotest.(check int) "eight cubes" 8 (List.length cubes);
-  let units = ref [] in
-  let results =
-    List.map
-      (fun cube ->
-        let s = Sat.create () in
-        pigeonhole s ~pigeons:7 ~holes:6;
-        let r = Sat.solve ~assumptions:cube ~max_conflicts:100_000 s in
-        Sat.check_invariants s;
-        units := Sat.implied_units s @ !units;
-        r)
-      cubes
-  in
-  Alcotest.(check bool) "every cube refuted" true (List.for_all (fun r -> r = Sat.Unsat) results);
-  (match Portfolio.merge results with
-  | Sat.Unsat -> ()
-  | _ -> Alcotest.fail "cube merge must refute PHP(7,6)");
-  (* merged units conjoin soundly: adding them preserves the refutation *)
-  let s = Sat.create () in
-  pigeonhole s ~pigeons:7 ~holes:6;
-  List.iter (fun u -> Sat.add_clause s [ u ]) (List.sort_uniq compare !units);
-  Alcotest.(check bool) "units preserve the refutation" true (Sat.solve s = Sat.Unsat)
-
 let suite =
   ( "sat-fuzz",
     [
@@ -605,12 +353,4 @@ let suite =
         locked_reasons_test;
       Alcotest.test_case "Solver.stats clause-DB counters are monotone" `Quick
         solver_stats_monotonic_test;
-      Alcotest.test_case "explicit default config is bit-identical; seeds are reproducible"
-        `Quick seed_determinism_test;
-      Alcotest.test_case "portfolio members never flip a verdict (differential fuzz)" `Slow
-        portfolio_fuzz;
-      Alcotest.test_case "cubes partition, merge agrees with brute force, units are sound"
-        `Slow cube_fuzz;
-      Alcotest.test_case "cube-and-conquer refutes PHP(7,6) from a budgeted probe" `Quick
-        cube_conquer_php_test;
     ] )

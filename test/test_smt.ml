@@ -543,8 +543,8 @@ let normal_form_tests =
     Alcotest.test_case "bit-blast numbering is history-independent" `Quick (fun () ->
         (* the same query blasted in two fresh domains, one of which first
            interned an unrelated term over y: every variable must land on
-           the same SAT variables (the cube protocol ships raw literals
-           between processes) *)
+           the same SAT variables, so a forked worker and the in-process
+           path run the same search on the same query *)
         let blast ~warm =
           Domain.join
             (Domain.spawn (fun () ->

@@ -13,7 +13,6 @@ module Engine = Veriopt_alive.Engine
 module Vcache = Veriopt_alive.Vcache
 module Eintr = Veriopt_vproc.Eintr
 module Vproc = Veriopt_vproc.Vproc
-module Portfolio = Veriopt_smt.Portfolio
 module Fault = Veriopt_fault.Fault
 module Trainer = Veriopt_rl.Trainer
 module S = Veriopt_data.Suite
@@ -151,7 +150,10 @@ let eintr_tests =
 (* The pool request language: closure-free values only (Marshal). *)
 type cmd =
   | Echo of string
-  | Sleep of float * string  (* answer after a nap — race-leg stand-in *)
+  | Sleep of float * string  (* answer after a nap *)
+  | Stamp_sleep of string * float
+      (* write the start time to a file, then nap: a call the parent can
+         see is in flight *)
   | Hang  (* busy-spin; only SIGKILL ends it *)
   | Crash  (* exit without a response *)
   | Raise  (* handler exception; the worker itself survives *)
@@ -162,6 +164,13 @@ let handler = function
   | Sleep (d, s) ->
     Unix.sleepf d;
     String.uppercase_ascii s
+  | Stamp_sleep (path, d) ->
+    let tmp = path ^ ".tmp" in
+    Out_channel.with_open_text tmp (fun oc ->
+        output_string oc (Printf.sprintf "%.6f" (Unix.gettimeofday ())));
+    Sys.rename tmp path;
+    Unix.sleepf d;
+    "DONE"
   | Hang ->
     while true do
       ignore (Sys.opaque_identity 0)
@@ -268,150 +277,49 @@ let pool_tests =
 
 (* ------------------------------------------------------------------ *)
 
-let with_race_pool f =
-  Vproc.reset_stats ();
-  let pool = Vproc.create ~jobs:2 ~handler () in
-  Fun.protect ~finally:(fun () -> Vproc.shutdown pool) (fun () -> f pool);
-  Alcotest.(check int) "no orphans after shutdown" 0 (Vproc.orphans pool)
-
-let race_tests =
+let quiesce_tests =
   [
-    Alcotest.test_case "call_race: first responder wins, the loser is reaped promptly" `Quick
-      (fun () ->
-        with_race_pool (fun pool ->
-            let t0 = Unix.gettimeofday () in
-            (match
-               Vproc.call_race
-                 ~kill_at:(t0 +. 30.)
-                 ~decide:(fun _ _ -> `Win)
-                 pool
-                 [ Sleep (0.02, "fast"); Sleep (10.0, "slow") ]
-             with
-            | Error f -> Alcotest.failf "race failed outright: %s" (Vproc.failure_message f)
-            | Ok members ->
-              Alcotest.(check int) "one member per request" 2 (Array.length members);
-              (match members.(0) with
-              | Vproc.Race_done (r, dt) ->
-                Alcotest.(check string) "winner's response" "FAST" r;
-                Alcotest.(check bool) (Fmt.str "winner was quick (%.3fs)" dt) true (dt < 5.0)
-              | _ -> Alcotest.fail "the fast member must win");
-              (match members.(1) with
-              | Vproc.Race_cancelled _ -> ()
-              | Vproc.Race_done _ -> Alcotest.fail "a 10s sleeper finished first"
-              | Vproc.Race_failed f ->
-                Alcotest.failf "loser failed instead of cancelling: %s"
-                  (Vproc.failure_message f)));
-            let dt = Unix.gettimeofday () -. t0 in
-            Alcotest.(check bool) (Fmt.str "loser reaped promptly (%.3fs)" dt) true (dt < 5.0);
-            Alcotest.(check int) "one loser cancelled" 1 (Vproc.stats ()).Vproc.cancelled;
-            Alcotest.(check int) "cancellation is not a kill" 0 (Vproc.stats ()).Vproc.killed;
-            (* the cancelled slot respawns and serves again — no backoff *)
-            check_ok pool "after-race"));
-    Alcotest.test_case "call_race: `Continue legs all complete, nobody is cancelled" `Quick
-      (fun () ->
-        with_race_pool (fun pool ->
-            match
-              Vproc.call_race
-                ~kill_at:(Unix.gettimeofday () +. 30.)
-                ~decide:(fun _ r -> if r = "YES" then `Win else `Continue)
-                pool
-                [ Sleep (0.01, "no"); Sleep (0.15, "yes") ]
-            with
-            | Error f -> Alcotest.failf "race failed outright: %s" (Vproc.failure_message f)
-            | Ok members ->
-              (match members.(0) with
-              | Vproc.Race_done ("NO", _) -> ()
-              | _ -> Alcotest.fail "the inconclusive leg must still report its answer");
-              (match members.(1) with
-              | Vproc.Race_done ("YES", _) -> ()
-              | _ -> Alcotest.fail "the conclusive leg must win");
-              Alcotest.(check int) "nothing cancelled" 0 (Vproc.stats ()).Vproc.cancelled));
-    Alcotest.test_case "call_race: members beyond the pool fail, the rest still race" `Quick
-      (fun () ->
-        with_race_pool (fun pool ->
-            match
-              Vproc.call_race
-                ~kill_at:(Unix.gettimeofday () +. 30.)
-                ~decide:(fun _ _ -> `Win)
-                pool
-                [ Sleep (0.02, "a"); Sleep (10.0, "b"); Sleep (0.02, "c") ]
-            with
-            | Error f -> Alcotest.failf "race failed outright: %s" (Vproc.failure_message f)
-            | Ok members ->
-              (match members.(0) with
-              | Vproc.Race_done ("A", _) -> ()
-              | _ -> Alcotest.fail "member 0 must win");
-              (match members.(1) with
-              | Vproc.Race_cancelled _ -> ()
-              | _ -> Alcotest.fail "member 1 must be cancelled");
-              (match members.(2) with
-              | Vproc.Race_failed (Vproc.Unavailable _) -> ()
-              | _ -> Alcotest.fail "member 2 exceeds the pool and must be Unavailable")));
-    Alcotest.test_case "call_race: the deadline kills every still-running member" `Quick
-      (fun () ->
-        with_race_pool (fun pool ->
-            let t0 = Unix.gettimeofday () in
-            (match
-               Vproc.call_race
-                 ~kill_at:(t0 +. 0.1)
-                 ~decide:(fun _ _ -> `Continue)
-                 pool
-                 [ Sleep (10.0, "a"); Sleep (10.0, "b") ]
-             with
-            | Error f -> Alcotest.failf "race failed outright: %s" (Vproc.failure_message f)
-            | Ok members ->
-              Array.iter
-                (function
-                  | Vproc.Race_failed (Vproc.Killed _) -> ()
-                  | _ -> Alcotest.fail "a member outlived the race deadline")
-                members);
-            let dt = Unix.gettimeofday () -. t0 in
-            Alcotest.(check bool) (Fmt.str "deadline was hard (%.3fs)" dt) true (dt < 5.0);
-            Alcotest.(check int) "both members killed" 2 (Vproc.stats ()).Vproc.killed;
-            Alcotest.(check int) "deadline kills are not cancellations" 0
-              (Vproc.stats ()).Vproc.cancelled;
-            check_ok pool "after-deadline"));
-    Alcotest.test_case "shutdown under an active race quiesces first, leaves no orphans"
+    Alcotest.test_case "shutdown under an active call quiesces first, leaves no orphans"
       `Quick (fun () ->
-        (* Regression: shutdown used to tear the pool down while a race was
-           still cancelling its loser, racing the orphans audit against the
-           supervisors' own reaping.  It must now block until every in-flight
-           call releases its slots, then reap deterministically. *)
+        (* Shutdown must not tear the pool down under a call in flight: it
+           blocks until the call releases its slot, then reaps
+           deterministically, so the orphans audit cannot race the
+           supervisor's own reaping. *)
         Vproc.reset_stats ();
-        let pool = Vproc.create ~jobs:2 ~handler () in
+        let pool = Vproc.create ~jobs:1 ~handler () in
+        let stamp = Filename.temp_file "vproc-quiesce" ".stamp" in
+        Sys.remove stamp;
+        let nap = 0.3 in
         let result = ref None in
-        let racer =
+        let caller =
           Thread.create
             (fun () ->
               result :=
                 Some
-                  (Vproc.call_race
-                     ~kill_at:(Unix.gettimeofday () +. 30.)
-                     ~decide:(fun _ _ -> `Win)
-                     pool
-                     [ Sleep (0.15, "fast"); Sleep (10.0, "slow") ]))
+                  (Vproc.call ~kill_at:(Unix.gettimeofday () +. 30.) pool (Stamp_sleep (stamp, nap))))
             ()
         in
-        (* let the race dispatch both legs, then shut down underneath it *)
-        Unix.sleepf 0.05;
-        let t0 = Unix.gettimeofday () in
+        (* wait until the worker is inside the call, then shut down
+           underneath it *)
+        let give_up = Unix.gettimeofday () +. 10. in
+        while (not (Sys.file_exists stamp)) && Unix.gettimeofday () < give_up do
+          Thread.delay 0.005
+        done;
+        let started = float_of_string (In_channel.with_open_text stamp In_channel.input_all) in
+        Sys.remove stamp;
         Vproc.shutdown pool;
-        let dt = Unix.gettimeofday () -. t0 in
-        Thread.join racer;
-        Alcotest.(check bool)
-          (Fmt.str "shutdown blocked until the race resolved (%.3fs)" dt)
-          true (dt >= 0.05);
+        let returned = Unix.gettimeofday () in
+        Thread.join caller;
         (match !result with
-        | Some (Ok members) ->
-          (match members.(0) with
-          | Vproc.Race_done ("FAST", _) -> ()
-          | _ -> Alcotest.fail "the fast leg must still win under teardown");
-          (match members.(1) with
-          | Vproc.Race_cancelled _ -> ()
-          | _ -> Alcotest.fail "the slow leg must be cancelled, not torn down")
+        | Some (Ok r) -> Alcotest.(check string) "the call completed normally" "DONE" r
         | Some (Error f) ->
-          Alcotest.failf "race failed under teardown: %s" (Vproc.failure_message f)
-        | None -> Alcotest.fail "race never completed");
+          Alcotest.failf "call failed under teardown: %s" (Vproc.failure_message f)
+        | None -> Alcotest.fail "call never completed");
+        Alcotest.(check bool)
+          (Fmt.str "shutdown returned %.3fs after the call started (nap %.1fs)"
+             (returned -. started) nap)
+          true
+          (returned -. started >= nap);
         Alcotest.(check int) "no orphans after teardown under load" 0 (Vproc.orphans pool));
   ]
 
@@ -486,52 +394,6 @@ let engine_tests =
         Alcotest.check category "both slots healthy" A.Equivalent v2.A.category;
         Alcotest.(check bool) "respawns recorded" true
           ((Vproc.stats ()).Vproc.respawned >= 1));
-    Alcotest.test_case "portfolio racing: verdicts match in-process, no orphans" `Slow
-      (fun () ->
-        let e = Engine.create ~tier1_samples:0 ~portfolio:2 () in
-        if Engine.portfolio e < 2 then ()
-          (* fork refused: the portfolio degraded to a single solver *)
-        else
-          Fun.protect
-            ~finally:(fun () ->
-              Engine.shutdown e;
-              Alcotest.(check int) "no orphans after shutdown" 0 (Engine.orphans e))
-            (fun () ->
-              Portfolio.reset_stats ();
-              (* conclusive probes short-circuit the race; verdicts match *)
-              let m_easy, src_e, tgt_e = easy_pair () in
-              let fresh = A.verify_funcs m_easy ~src:src_e ~tgt:tgt_e in
-              let raced = Engine.verify_funcs e m_easy ~src:src_e ~tgt:tgt_e in
-              Alcotest.check category "equivalent pair" fresh.A.category raced.A.category;
-              let m =
-                Parser.parse_module
-                  "define i8 @f(i8 %x) {\nentry:\n  %r = add i8 %x, 1\n  ret i8 %r\n}"
-              in
-              let src = List.hd m.Ast.funcs in
-              let bad =
-                Engine.verify_text e m ~src
-                  ~tgt_text:
-                    "define i8 @f(i8 %x) {\nentry:\n  %r = add i8 %x, 2\n  ret i8 %r\n}"
-              in
-              Alcotest.check category "refuted pair" A.Semantic_error bad.A.category;
-              (* loop pairs go through the same race plumbing *)
-              List.iter
-                (fun (name, (lm, lsrc, ltgt)) ->
-                  let fresh = A.verify_funcs_single_shot lm ~src:lsrc ~tgt:ltgt in
-                  let raced = Engine.verify_funcs e lm ~src:lsrc ~tgt:ltgt in
-                  Alcotest.check category name fresh.A.category raced.A.category)
-                [ ("terminating loop", loop_pair ()); ("wrong constant", loop_pair ~ret:4 ()) ];
-              (* a probe-resistant pair forces an actual cube split: i5 mul
-                 reassociation blows the 500-conflict probe but the cube
-                 legs close it.  Whatever wins, the verdict must never flip
-                 to a refutation *)
-              let hm, hsrc, htgt = Veriopt_serve.Workload.assoc_pair 5 in
-              let v = Engine.verify_funcs ~max_conflicts:400_000 e hm ~src:hsrc ~tgt:htgt in
-              Alcotest.check category "i5 mul reassociates" A.Equivalent v.A.category;
-              let p = Portfolio.stats () in
-              Alcotest.(check bool) "races ran" true (p.Portfolio.races >= 1);
-              Alcotest.(check bool) "the hostile pair split into cubes" true
-                (p.Portfolio.cube_splits >= 1)));
     Alcotest.test_case "worker_oom chaos: the bomb dies in the worker" `Quick (fun () ->
         Unix.putenv "VERIOPT_PROC_MEM_MB" "64";
         Fun.protect
@@ -610,4 +472,4 @@ let trainer_tests =
         Alcotest.(check int) "no orphans after shutdown" 0 (Engine.orphans engine));
   ]
 
-let suite = ("vproc", eintr_tests @ pool_tests @ race_tests @ engine_tests @ trainer_tests)
+let suite = ("vproc", eintr_tests @ pool_tests @ quiesce_tests @ engine_tests @ trainer_tests)
