@@ -20,7 +20,7 @@ verify-bench: build
 	dune exec bench/main.exe -- verify-bench
 
 # The resilience layer under chaos: deadline-bounded tail latency, 100%
-# injected solver timeouts, circuit breaker, crash-proof reward path.
+# injected solver timeouts, crash-proof reward path.
 # Writes machine-readable BENCH_robust.json; exits non-zero if any fault
 # flips a conclusive verdict or escapes the reward guards.
 chaos-bench: build

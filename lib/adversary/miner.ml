@@ -4,10 +4,10 @@
     and instcombined) and the serve workload generators; mutants come from
     {!Mutate}; each candidate is probed through {!Engine.verify_pain}
     under a tight deadline and scored for {e pain} — inconclusive
-    verdicts, deadline fraction, solver conflicts, breaker trips, worker
-    kills.  High-pain candidates are greedily minimized under a concrete
-    oracle guard (a reduction that changes the oracle's verdict class or
-    flips a conclusive engine verdict is rejected), then committed to the
+    verdicts, deadline fraction, solver conflicts and worker kills.
+    High-pain candidates are greedily minimized under a concrete oracle
+    guard (a reduction that changes the oracle's verdict class or flips a
+    conclusive engine verdict is rejected), then committed to the
     crash-safe {!Corpus}. *)
 
 module Engine = Veriopt_alive.Engine
@@ -17,7 +17,6 @@ module Serve = Veriopt_serve.Serve
 module Traffic = Veriopt_serve.Traffic
 module Cgen = Veriopt_data.Cgen
 module Lower = Veriopt_data.Lower
-module Suite = Veriopt_data.Suite
 module Pass_manager = Veriopt_passes.Pass_manager
 module Exec_oracle = Veriopt_eval.Exec_oracle
 module Fault = Veriopt_fault.Fault
@@ -85,7 +84,6 @@ let pain_score cfg (p : Engine.pain) =
   +. 0.5
      *. Float.min 1.0
           (float_of_int p.Engine.p_conflicts /. float_of_int (max 1 cfg.mc_probe_conflicts))
-  +. float_of_int p.Engine.p_breaker_trips
   +. float_of_int (p.Engine.p_worker_kills + p.Engine.p_worker_crashes)
 
 let probe cfg engine (p : Mutate.pair) =
@@ -539,24 +537,6 @@ let stress ?(seed = 11) ?(rate = 100.) ?(duration_s = 2.) ?(mix_pct = 100) ?conf
     ignore (Serve.drain ~timeout:5. sv);
     Some summary
   end
-
-let curriculum_samples (corpus : Corpus.t) : Suite.sample list =
-  List.filter_map
-    (fun (c : Corpus.case) ->
-      match Corpus.decode_pair c with
-      | None -> None
-      | Some p ->
-        Some
-          {
-            Suite.id = 900_000 + c.Corpus.c_id;
-            modul = p.Mutate.a_m;
-            src = p.Mutate.a_src;
-            label = p.Mutate.a_tgt;
-            trace = [];
-            src_text = c.Corpus.c_src_text;
-            label_text = c.Corpus.c_tgt_text;
-          })
-    (Corpus.cases corpus)
 
 let pp_result ppf (r : result) =
   Fmt.pf ppf

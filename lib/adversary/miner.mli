@@ -82,15 +82,10 @@ val stress :
     a serve instance, then drain it.  [None] when the corpus decodes to
     zero queries. *)
 
-val curriculum_samples : Corpus.t -> Veriopt_data.Suite.sample list
-(** The corpus as trainer curriculum samples (mined target as the label,
-    empty trace) for {!Veriopt_rl.Trainer}'s [curriculum] option — the
-    oversampling hook that points training at verifier-breaking shapes. *)
-
 val pain_score : config -> Veriopt_alive.Engine.pain -> float
 (** The scoring function: 1 for an inconclusive verdict, plus weighted
-    deadline fraction, conflict fraction, breaker trips and worker
-    kills/crashes.  Exposed for tests and the bench. *)
+    deadline fraction, conflict fraction and worker kills/crashes.
+    Exposed for tests and the bench. *)
 
 val category_name : Veriopt_alive.Alive.category -> string
 

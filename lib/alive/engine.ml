@@ -229,8 +229,6 @@ type t = {
   cache : Alive.verdict Vcache.t;
   tier1_samples : int;
   tier1_fuel : int;
-  breaker_k : int; (* 0 disables the circuit breaker *)
-  breaker_cooldown : int;
   isolate : isolate;
   pool : (proc_request, proc_response) Vproc.t option; (* Some iff isolate = Proc *)
   store : Store.t option; (* the shared disk-backed verdict tier *)
@@ -262,8 +260,7 @@ let warned_store = Atomic.make false
 let store_dir_of_env () =
   match Sys.getenv_opt "VERIOPT_STORE" with None | Some "" -> None | Some d -> Some d
 
-let create ?(capacity = 8192) ?(tier1_samples = 16) ?(tier1_fuel = 200_000) ?(breaker_k = 0)
-    ?(breaker_cooldown = 16) ?isolate ?store () =
+let create ?(capacity = 8192) ?(tier1_samples = 16) ?(tier1_fuel = 200_000) ?isolate ?store () =
   let isolate = match isolate with Some i -> i | None -> isolate_of_env () in
   let isolate =
     match isolate with
@@ -318,8 +315,6 @@ let create ?(capacity = 8192) ?(tier1_samples = 16) ?(tier1_fuel = 200_000) ?(br
     cache;
     tier1_samples = max 0 tier1_samples;
     tier1_fuel = max 1 tier1_fuel;
-    breaker_k = max 0 breaker_k;
-    breaker_cooldown = max 1 breaker_cooldown;
     isolate;
     pool;
     store;
@@ -350,7 +345,6 @@ let stats t = Vcache.stats t.cache
 let store_stats t = Option.map Store.stats t.store
 let store t = t.store
 let reset_stats t = Vcache.reset t.cache
-let breaker_open t = (Vcache.stats t.cache).breaker_open
 
 let now () = Unix.gettimeofday ()
 
@@ -436,60 +430,49 @@ let verify_funcs ?(unroll = 4) ?(max_conflicts = 200_000) ?deadline (t : t)
       let bounded =
         lazy (Cfg.has_loop (Cfg.of_func src) || Cfg.has_loop (Cfg.of_func tgt))
       in
-      (* Transient verdicts — a tripped breaker or an expired deadline —
+      (* Transient verdicts — a dead worker or an expired deadline —
          describe this call's budget, not the query; caching them would
          poison every later, better-funded retry. *)
       let cacheable = ref true in
       let tier2 () =
-        if t.breaker_k > 0 && Vcache.breaker_skip t.cache then begin
-          cacheable := false;
-          inconclusive_verdict ~bounded:(Lazy.force bounded) ~copy:false
-            "circuit breaker open: SMT tier skipped (degraded mode)"
-        end
-        else begin
-          let t0 = now () in
-          let v =
-            match t.pool with
-            | None -> Alive.verify_funcs ~unroll ~max_conflicts ?deadline m ~src ~tgt
-            | Some pool -> (
-              (* the child still gets the cooperative deadline; the hard
-                 SIGKILL fires only once it has overrun by half a budget *)
-              let kill_at =
-                Option.map (fun d -> d +. Float.max 0.01 (0.5 *. (d -. t0))) deadline
-              in
-              match
-                Vproc.call ?kill_at pool
-                  {
-                    pr_m = m;
-                    pr_src = src;
-                    pr_tgt = tgt;
-                    pr_unroll = unroll;
-                    pr_max_conflicts = max_conflicts;
-                    pr_deadline = deadline;
-                    pr_store = Option.map Store.dir t.store;
-                  }
-              with
-              | Ok (v, d) ->
-                Solver.absorb d;
-                v
-              | Error f ->
-                (* a dead worker describes this call's sandbox, not the
-                   query: degrade to an uncached Inconclusive *)
-                cacheable := false;
-                inconclusive_verdict ~bounded:(Lazy.force bounded) ~copy:false
-                  ("verification " ^ Vproc.failure_message f ^ " (proc isolate)"))
-          in
-          Vcache.note_tier2 t.cache ~seconds:(now () -. t0);
-          if t.breaker_k > 0 then
-            Vcache.breaker_note t.cache
-              ~inconclusive:(v.Alive.category = Alive.Inconclusive)
-              ~k:t.breaker_k ~cooldown:t.breaker_cooldown;
-          (match deadline with
-          | Some d when v.Alive.category = Alive.Inconclusive && now () > d ->
-            cacheable := false
-          | _ -> ());
-          v
-        end
+        let t0 = now () in
+        let v =
+          match t.pool with
+          | None -> Alive.verify_funcs ~unroll ~max_conflicts ?deadline m ~src ~tgt
+          | Some pool -> (
+            (* the child still gets the cooperative deadline; the hard
+               SIGKILL fires only once it has overrun by half a budget *)
+            let kill_at =
+              Option.map (fun d -> d +. Float.max 0.01 (0.5 *. (d -. t0))) deadline
+            in
+            match
+              Vproc.call ?kill_at pool
+                {
+                  pr_m = m;
+                  pr_src = src;
+                  pr_tgt = tgt;
+                  pr_unroll = unroll;
+                  pr_max_conflicts = max_conflicts;
+                  pr_deadline = deadline;
+                  pr_store = Option.map Store.dir t.store;
+                }
+            with
+            | Ok (v, d) ->
+              Solver.absorb d;
+              v
+            | Error f ->
+              (* a dead worker describes this call's sandbox, not the
+                 query: degrade to an uncached Inconclusive *)
+              cacheable := false;
+              inconclusive_verdict ~bounded:(Lazy.force bounded) ~copy:false
+                ("verification " ^ Vproc.failure_message f ^ " (proc isolate)"))
+        in
+        Vcache.note_tier2 t.cache ~seconds:(now () -. t0);
+        (match deadline with
+        | Some d when v.Alive.category = Alive.Inconclusive && now () > d ->
+          cacheable := false
+        | _ -> ());
+        v
       in
       let verdict =
         (* an alpha-equal copy cannot have a concrete counterexample; skip
@@ -542,7 +525,6 @@ type pain = {
   p_wall_s : float; (* wall time of this probe *)
   p_deadline_frac : float; (* wall / budget, >= 1. when the deadline expired *)
   p_conflicts : int; (* SAT conflicts this probe burned (in-process tiers) *)
-  p_breaker_trips : int; (* circuit-breaker opens during the probe *)
   p_worker_kills : int; (* vproc hard-deadline SIGKILLs (process-global) *)
   p_worker_crashes : int; (* vproc workers that died on their own *)
   p_tier2_runs : int; (* SMT-tier entries (0 = settled by tier 0/1) *)
@@ -601,7 +583,6 @@ let verify_pain ?unroll ?max_conflicts ?(budget_s = 0.05) (t : t)
     p_wall_s = wall;
     p_deadline_frac = wall /. budget_s;
     p_conflicts = sdelta.Solver.conflicts;
-    p_breaker_trips = vs1.Vcache.breaker_trips - vs0.Vcache.breaker_trips;
     p_worker_kills = ps1.Vproc.killed - ps0.Vproc.killed;
     p_worker_crashes = ps1.Vproc.crashed - ps0.Vproc.crashed;
     p_tier2_runs = vs1.Vcache.tier2_runs - vs0.Vcache.tier2_runs;

@@ -41,8 +41,6 @@ val create :
   ?capacity:int ->
   ?tier1_samples:int ->
   ?tier1_fuel:int ->
-  ?breaker_k:int ->
-  ?breaker_cooldown:int ->
   ?isolate:isolate ->
   ?store:string ->
   unit ->
@@ -53,13 +51,6 @@ val create :
     200k steps — the miner lowers it so loopy mutants cannot stall the
     battery; an exhausted run never distinguishes, so a small budget only
     weakens tier 1, it cannot make it wrong).
-
-    [breaker_k] (default 0 = disabled) arms the circuit breaker: after
-    [breaker_k] consecutive inconclusive tier-2 verdicts the SMT tier is
-    skipped for the next [breaker_cooldown] (default 16) would-be runs,
-    answering [Inconclusive] immediately — degraded mode only ever widens
-    [Inconclusive], never flips a conclusive verdict.  Trip and skip counts
-    surface in {!Vcache.stats}.
 
     [isolate] (default {!isolate_of_env}) picks the tier-2 backend.  [Proc]
     forks its worker pool eagerly here — the safest moment for a multicore
@@ -104,8 +95,8 @@ val verify_funcs :
   Alive.verdict
 (** Tiered + cached equivalent of {!Alive.verify_funcs} (same defaults).
     [deadline] is an absolute [Unix.gettimeofday] instant: past it the SMT
-    tier answers [Inconclusive] instead of continuing.  Deadline-expired and
-    breaker-skipped verdicts are transient and never cached.  [unroll] and
+    tier answers [Inconclusive] instead of continuing.  Deadline-expired
+    and dead-worker verdicts are transient and never cached.  [unroll] and
     [max_conflicts] are part of the cache key. *)
 
 val verify_text :
@@ -138,7 +129,6 @@ type pain = {
       (** SAT conflicts this probe burned.  Read from the process-global
           solver counters, so only meaningful for single-threaded probing on
           the in-process (Domains) backend. *)
-  p_breaker_trips : int;  (** circuit-breaker opens during the probe *)
   p_worker_kills : int;  (** vproc hard-deadline SIGKILLs (process-global) *)
   p_worker_crashes : int;  (** vproc workers that died on their own *)
   p_tier2_runs : int;  (** SMT-tier entries (0 = settled by tier 0/1) *)
@@ -211,11 +201,6 @@ val store_encode : tier:int -> delta:Veriopt_smt.Solver.stats -> Alive.verdict -
 val store_decode : string -> (Alive.verdict * int * Veriopt_smt.Solver.stats) option
 (** Inverse of {!store_encode}; [None] (never an exception) on any payload
     that does not decode, which the cache counts as a corrupt entry. *)
-
-val breaker_open : t -> bool
-(** Snapshot of the circuit breaker: [true] while tier 2 is being skipped.
-    The serve layer's admission control consults this to refuse bulk work
-    that would only widen the inconclusive streak. *)
 
 val coalesce_key :
   Veriopt_ir.Ast.modul ->

@@ -30,9 +30,6 @@ type stats = {
   tier2_seconds : float;
   tier1_ewma_s : float;
   tier2_ewma_s : float;
-  breaker_trips : int;
-  breaker_skips : int;
-  breaker_open : bool;
 }
 
 (* EWMA smoothing factor for the per-tier latency estimates: ~the last
@@ -64,13 +61,6 @@ type 'v t = {
      letting it into the queue. *)
   mutable tier1_ewma_s : float;
   mutable tier2_ewma_s : float;
-  (* circuit-breaker state (engine-driven; lives here so it shares the
-     mutex and the stats plumbing with the rest of the counters) *)
-  mutable breaker_consec : int; (* consecutive inconclusive tier-2 verdicts *)
-  mutable breaker_open_remaining : int; (* > 0: open, skipping tier 2 *)
-  mutable breaker_half_open : bool; (* next tier-2 run is the trial *)
-  mutable breaker_trips : int;
-  mutable breaker_skips : int;
 }
 
 let create ?(capacity = 4096) () =
@@ -92,11 +82,6 @@ let create ?(capacity = 4096) () =
     tier2_seconds = 0.;
     tier1_ewma_s = 0.;
     tier2_ewma_s = 0.;
-    breaker_consec = 0;
-    breaker_open_remaining = 0;
-    breaker_half_open = false;
-    breaker_trips = 0;
-    breaker_skips = 0;
   }
 
 let locked t f =
@@ -201,45 +186,6 @@ let note_tier2 t ~seconds =
       t.tier2_seconds <- t.tier2_seconds +. seconds;
       t.tier2_ewma_s <- roll t.tier2_ewma_s seconds)
 
-(* ------------------------------------------------------------------ *)
-(* Circuit breaker.  Closed -> (k consecutive inconclusive tier-2 verdicts)
-   -> open for [cooldown] would-be tier-2 calls (each skipped) -> half-open
-   (one trial run) -> closed on a conclusive verdict, re-open on another
-   inconclusive one.  The engine drives the transitions; soundness is
-   preserved because a skipped tier 2 only ever widens [Inconclusive]. *)
-
-let breaker_skip t =
-  locked t (fun () ->
-      if t.breaker_open_remaining > 0 then begin
-        t.breaker_open_remaining <- t.breaker_open_remaining - 1;
-        if t.breaker_open_remaining = 0 then t.breaker_half_open <- true;
-        t.breaker_skips <- t.breaker_skips + 1;
-        true
-      end
-      else false)
-
-let breaker_note t ~inconclusive ~k ~cooldown =
-  locked t (fun () ->
-      if not inconclusive then begin
-        t.breaker_consec <- 0;
-        t.breaker_half_open <- false
-      end
-      else if t.breaker_half_open then begin
-        (* the half-open trial failed: re-trip immediately *)
-        t.breaker_half_open <- false;
-        t.breaker_consec <- 0;
-        t.breaker_open_remaining <- max 1 cooldown;
-        t.breaker_trips <- t.breaker_trips + 1
-      end
-      else begin
-        t.breaker_consec <- t.breaker_consec + 1;
-        if k > 0 && t.breaker_consec >= k then begin
-          t.breaker_consec <- 0;
-          t.breaker_open_remaining <- max 1 cooldown;
-          t.breaker_trips <- t.breaker_trips + 1
-        end
-      end)
-
 let stats t =
   locked t (fun () ->
       {
@@ -256,9 +202,6 @@ let stats t =
         tier2_seconds = t.tier2_seconds;
         tier1_ewma_s = t.tier1_ewma_s;
         tier2_ewma_s = t.tier2_ewma_s;
-        breaker_trips = t.breaker_trips;
-        breaker_skips = t.breaker_skips;
-        breaker_open = t.breaker_open_remaining > 0;
       })
 
 let reset t =
@@ -275,9 +218,4 @@ let reset t =
       t.tier1_seconds <- 0.;
       t.tier2_seconds <- 0.;
       t.tier1_ewma_s <- 0.;
-      t.tier2_ewma_s <- 0.;
-      t.breaker_consec <- 0;
-      t.breaker_open_remaining <- 0;
-      t.breaker_half_open <- false;
-      t.breaker_trips <- 0;
-      t.breaker_skips <- 0)
+      t.tier2_ewma_s <- 0.)

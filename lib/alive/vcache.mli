@@ -53,9 +53,6 @@ type stats = {
       (** rolling EWMA of per-run tier-1 latency ([0.] until the first
           sample) — the serve layer's admission-control price signal *)
   tier2_ewma_s : float;  (** rolling EWMA of per-run tier-2 latency *)
-  breaker_trips : int;  (** circuit-breaker open transitions *)
-  breaker_skips : int;  (** tier-2 runs skipped while the breaker was open *)
-  breaker_open : bool;  (** snapshot: the breaker is currently open *)
 }
 
 type 'v t
@@ -84,22 +81,6 @@ val add : ?spayload:string -> 'v t -> key -> 'v -> unit
 
 val note_tier1 : 'v t -> hit:bool -> seconds:float -> unit
 val note_tier2 : 'v t -> seconds:float -> unit
-
-(** {1 Circuit breaker}
-
-    State machine driven by the engine: closed — [k] consecutive
-    inconclusive tier-2 verdicts trip it open — open for [cooldown]
-    would-be tier-2 calls (each skipped and counted) — half-open (one trial
-    tier-2 run) — closed again on a conclusive verdict, re-opened on an
-    inconclusive one.  Lives in the cache so it shares the mutex and the
-    stats plumbing. *)
-
-val breaker_skip : 'v t -> bool
-(** Ask before a tier-2 run: [true] means the breaker is open and this run
-    must be skipped (counted in [breaker_skips]). *)
-
-val breaker_note : 'v t -> inconclusive:bool -> k:int -> cooldown:int -> unit
-(** Report a completed tier-2 verdict; may trip or close the breaker. *)
 
 val stats : 'v t -> stats
 val reset : 'v t -> unit

@@ -33,22 +33,3 @@ let optimize ?(mode = Prompt.Generic) ?(max_conflicts = 100_000) (model : Model.
     { output = out; used_model = true; verdict = vc.Reward.verdict; completion = g.Model.completion }
   | _ ->
     { output = f; used_model = false; verdict = vc.Reward.verdict; completion = g.Model.completion }
-
-(** Optimize with both the model and the handwritten instcombine pass,
-    keeping whichever is better on the latency model — the configuration
-    behind the paper's "net 17% over instcombine alone". *)
-let optimize_best_of_both ?mode ?max_conflicts (model : Model.t) (modul : Ast.modul)
-    (f : Ast.func) : Ast.func * outcome =
-  let o = optimize ?mode ?max_conflicts model modul f in
-  let ic, _ = Veriopt_passes.Pass_manager.instcombine modul f in
-  let best =
-    if Veriopt_cost.Latency.of_func o.output < Veriopt_cost.Latency.of_func ic then o.output
-    else ic
-  in
-  (best, o)
-
-(** Optimize every function of a module. *)
-let optimize_module ?mode ?max_conflicts (model : Model.t) (m : Ast.modul) :
-    Ast.modul * outcome list =
-  let outs = List.map (fun f -> optimize ?mode ?max_conflicts model m f) m.Ast.funcs in
-  ({ m with Ast.funcs = List.map (fun o -> o.output) outs }, outs)

@@ -17,20 +17,3 @@ val optimize :
   Veriopt_ir.Ast.func ->
   outcome
 (** Greedy-decode, verify, fall back. *)
-
-val optimize_best_of_both :
-  ?mode:Veriopt_llm.Prompt.mode ->
-  ?max_conflicts:int ->
-  Veriopt_llm.Model.t ->
-  Veriopt_ir.Ast.modul ->
-  Veriopt_ir.Ast.func ->
-  Veriopt_ir.Ast.func * outcome
-(** Keep whichever of {model output, handwritten instcombine} has the lower
-    modelled latency — the paper's "net gain over instcombine alone". *)
-
-val optimize_module :
-  ?mode:Veriopt_llm.Prompt.mode ->
-  ?max_conflicts:int ->
-  Veriopt_llm.Model.t ->
-  Veriopt_ir.Ast.modul ->
-  Veriopt_ir.Ast.modul * outcome list

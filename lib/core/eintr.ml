@@ -3,7 +3,6 @@
 let retry_count = Atomic.make 0
 
 let retries () = Atomic.get retry_count
-let reset_retries () = Atomic.set retry_count 0
 
 let rec read fd buf pos len =
   try Unix.read fd buf pos len

@@ -34,4 +34,3 @@ val wait_readable : Unix.file_descr -> deadline:float option -> [ `Ready | `Time
     never shorten (or extend) the window. *)
 
 val retries : unit -> int
-val reset_retries : unit -> unit

@@ -251,9 +251,6 @@ let engine_stats ppf (engine : Veriopt_alive.Engine.t) =
       sat.Veriopt_smt.Solver.lbd_hist;
     Fmt.pf ppf "@."
   end;
-  if s.Veriopt_alive.Vcache.breaker_trips > 0 || s.Veriopt_alive.Vcache.breaker_skips > 0 then
-    Fmt.pf ppf "  breaker: %d trips, %d tier-2 runs skipped while open@."
-      s.Veriopt_alive.Vcache.breaker_trips s.Veriopt_alive.Vcache.breaker_skips;
   (let ic_runs = Atomic.get Veriopt_passes.Instcombine.runs_total in
    if ic_runs > 0 then
      Fmt.pf ppf
@@ -302,8 +299,7 @@ let serve_stats ppf (s : Veriopt_serve.Serve.stats) =
   Fmt.pf ppf "  submitted: %d interactive, %d bulk; %d waiters completed, %d engine calls@."
     s.S.submitted_interactive s.S.submitted_bulk s.S.completed s.S.engine_calls;
   Fmt.pf ppf "  coalesce:  %d waiters shared an in-queue entry@." s.S.coalesced;
-  Fmt.pf ppf "  admission: %d refused on deadline, %d refused on open breaker@."
-    s.S.admission_refused s.S.breaker_refused;
+  Fmt.pf ppf "  admission: %d refused on deadline@." s.S.admission_refused;
   Fmt.pf ppf "  shed:      %d queue-full, %d displaced, %d expired in queue, %d at drain@."
     s.S.shed_queue_full s.S.shed_displaced s.S.shed_expired s.S.shed_drain;
   Fmt.pf ppf "  queue:     depth %d interactive / %d bulk (max %d), %d in flight@."

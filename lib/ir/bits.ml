@@ -19,7 +19,6 @@ let to_signed w x =
     else x
 
 let of_int w x = mask w (Int64.of_int x)
-let to_unsigned _w x = x
 
 let min_signed w = mask w (Int64.shift_left 1L (w - 1))
 let max_signed w = mask w (Int64.sub (Int64.shift_left 1L (w - 1)) 1L)
@@ -128,5 +127,3 @@ let popcount _w a =
   go 0 a
 
 let bit w a i = if i < 0 || i >= w then false else Int64.logand (Int64.shift_right_logical a i) 1L = 1L
-
-let to_hex_string w a = Fmt.str "0x%Lx" (mask w a)

@@ -13,7 +13,6 @@ val to_signed : int -> int64 -> int64
 (** Sign-extend a canonical [w]-bit value to a full [int64]. *)
 
 val of_int : int -> int -> int64
-val to_unsigned : int -> int64 -> int64
 
 val min_signed : int -> int64
 val max_signed : int -> int64
@@ -83,4 +82,3 @@ val is_power_of_two : int -> int64 -> bool
 val log2 : int -> int64 -> int
 val popcount : int -> int64 -> int
 val bit : int -> int64 -> int -> bool
-val to_hex_string : int -> int64 -> string

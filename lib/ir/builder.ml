@@ -37,7 +37,6 @@ let fresh names prefix =
     taken ones). *)
 let names_reset (n : names) = n.counter <- 0
 
-let name_claim (n : names) v = Hashtbl.replace n.used v ()
 let name_release (n : names) v = Hashtbl.remove n.used v
 
 (** Substitute operand [from] with [to_] everywhere in a function (used when a
@@ -174,9 +173,6 @@ let renumber (f : func) : func =
 
 (** Structural equality modulo local/label names. *)
 let alpha_equal (a : func) (b : func) : bool = renumber a = renumber b
-
-let instr_count (f : func) : int =
-  List.fold_left (fun acc b -> acc + List.length b.instrs + 1) 0 f.blocks
 
 (* ------------------------------------------------------------------ *)
 (* The emitting cursor: re-build a function one instruction at a time while

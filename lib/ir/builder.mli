@@ -13,9 +13,6 @@ val names_reset : names -> unit
     rules see one fresh supply per invocation (historic behavior the SFT
     traces are pinned to). *)
 
-val name_claim : names -> Ast.var -> unit
-(** Mark a name as used (a mid-pass definition joined the function). *)
-
 val name_release : names -> Ast.var -> unit
 (** Forget a used name (its definition was deleted; the old per-rewrite
     supply would likewise not see it). *)
@@ -42,8 +39,6 @@ val renumber : Ast.func -> Ast.func
 val alpha_equal : Ast.func -> Ast.func -> bool
 (** Structural equality modulo local/label names: the paper's "exact match
     with the reference IR" and its "copy of input" detector. *)
-
-val instr_count : Ast.func -> int
 
 (** The emitting cursor: re-build a function one instruction at a time
     while keeping a live whole-function view of definitions and use counts

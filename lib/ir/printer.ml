@@ -104,6 +104,3 @@ let pp_module ppf (m : modul) =
 
 let func_to_string f = Fmt.str "%a" pp_func f
 let module_to_string m = Fmt.str "%a" pp_module m
-let instr_to_string i = Fmt.str "%a" pp_instr i
-let operand_to_string o = Fmt.str "%a" pp_operand o
-let terminator_to_string t = Fmt.str "%a" pp_terminator t

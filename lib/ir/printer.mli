@@ -11,6 +11,3 @@ val pp_module : Format.formatter -> Ast.modul -> unit
 
 val func_to_string : Ast.func -> string
 val module_to_string : Ast.modul -> string
-val instr_to_string : Ast.named_instr -> string
-val operand_to_string : Ast.operand -> string
-val terminator_to_string : Ast.terminator -> string

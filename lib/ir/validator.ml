@@ -310,12 +310,3 @@ let validate_func ?module_ (f : func) : (unit, error list) result =
           check_phi_placement f cfg @ check_dominance f cfg @ check_calls module_ f
         in
         if errors = [] then Ok () else Error errors
-
-let validate_module (m : modul) : (unit, error list) result =
-  let errors =
-    List.concat_map
-      (fun f -> match validate_func ~module_:m f with Ok () -> [] | Error es ->
-        List.map (fun e -> Fmt.str "@%s: %s" f.fname e) es)
-      m.funcs
-  in
-  if errors = [] then Ok () else Error errors

@@ -9,7 +9,3 @@ type error = string
 val validate_func : ?module_:Ast.modul -> Ast.func -> (unit, error list) result
 (** Check one function.  [module_] supplies call-target signatures and
     global names when available. *)
-
-val validate_module : Ast.modul -> (unit, error list) result
-(** Check every function of a module, prefixing errors with the function
-    name. *)

@@ -32,19 +32,6 @@ let generic_template (ir : string) : string =
       ir;
     ]
 
-let augmented_template (ir : string) : string =
-  String.concat "\n"
-    [
-      "You are a compiler optimization expert. Apply peephole optimizations";
-      "to the following LLVM IR function, preserving its semantics exactly.";
-      "First reason inside <think> </think>: make an attempt, check it the";
-      "way the Alive2 verifier would, and diagnose any error you find.";
-      "Then reply with the final optimized IR inside <answer> </answer> tags.";
-      "";
-      "Input:";
-      ir;
-    ]
-
 (** Structured model output prior to rendering. *)
 type output = {
   think : (string * string option) option;

@@ -5,10 +5,6 @@ type mode = Generic | Augmented
 val generic_template : string -> string
 (** Fig. 1: the one-shot generic prompt around the input IR. *)
 
-val augmented_template : string -> string
-(** Fig. 2: the <think>-augmented prompt used by the warm-up and
-    correctness stages. *)
-
 type output = {
   think : (string * string option) option;
       (** first attempt and optional self-diagnosis; [None] in generic mode *)

@@ -42,8 +42,6 @@ type options = {
   resume : bool;
   verify_timeout : float option;
   isolate : Engine.isolate option;
-  curriculum : Suite.sample list;
-  curriculum_share : float;
 }
 
 let default_options =
@@ -60,8 +58,6 @@ let default_options =
     resume = false;
     verify_timeout = None;
     isolate = None;
-    curriculum = [];
-    curriculum_share = 0.25;
   }
 
 (* An explicit engine wins; otherwise a requested isolation backend gets a
@@ -78,17 +74,6 @@ type stage_log = { raw_rewards : float list; ema_rewards : float list }
 let log_of rewards = { raw_rewards = rewards; ema_rewards = Grpo.ema rewards }
 
 let sample_at (samples : Suite.sample array) rng = samples.(Random.State.int rng (Array.length samples))
-
-(* Curriculum oversampling: when the adversarial curriculum is non-empty,
-   each step first flips a biased coin for "draw from the mined corpus
-   instead of the training set".  The coin is only tossed when a curriculum
-   exists, so the default options replay the exact RNG trajectory of older
-   runs (checkpoint/resume bit-identity is pinned by tests). *)
-let pick_sample ~(opts : options) ~(curriculum : Suite.sample array)
-    (samples : Suite.sample array) rng =
-  if Array.length curriculum = 0 then sample_at samples rng
-  else if Random.State.float rng 1.0 < opts.curriculum_share then sample_at curriculum rng
-  else sample_at samples rng
 
 (* ------------------------------------------------------------------ *)
 (* The shared GRPO stage loop: checkpoint/resume and the kill-simulation
@@ -180,7 +165,6 @@ let train_model_zero ?(opts = default_options) ?engine (base : Model.t)
     (train : Suite.sample list) : stage1_result =
   let engine = resolve_engine ~opts engine in
   let samples = Array.of_list train in
-  let curriculum = Array.of_list opts.curriculum in
   let rcfg = { Reward.default_config with Reward.timeout = opts.verify_timeout } in
   let cfg =
     {
@@ -192,7 +176,7 @@ let train_model_zero ?(opts = default_options) ?engine (base : Model.t)
   in
   let step_fn (st : stage_state) =
     let model = st.st_model and rng = st.st_rng in
-    let s = pick_sample ~opts ~curriculum samples rng in
+    let s = sample_at samples rng in
     let group =
       List.init opts.group_size (fun _ ->
           Model.generate model ~mode:Prompt.Generic ~rng:(Some rng) ~sample_id:s.Suite.id
@@ -283,7 +267,6 @@ let train_correctness ?(opts = default_options) ?engine (warm : Model.t)
     (train : Suite.sample list) : stage2_result =
   let engine = resolve_engine ~opts engine in
   let samples = Array.of_list train in
-  let curriculum = Array.of_list opts.curriculum in
   let rcfg = { Reward.default_config with Reward.timeout = opts.verify_timeout } in
   let cfg =
     {
@@ -295,7 +278,7 @@ let train_correctness ?(opts = default_options) ?engine (warm : Model.t)
   in
   let step_fn (st : stage_state) =
     let model = st.st_model and rng = st.st_rng in
-    let s = pick_sample ~opts ~curriculum samples rng in
+    let s = sample_at samples rng in
     let group =
       List.init opts.group_size (fun _ ->
           Model.generate model ~mode:Prompt.Augmented ~rng:(Some rng) ~sample_id:s.Suite.id
@@ -360,7 +343,6 @@ let train_latency ?(opts = default_options) ?engine (correctness : Model.t)
     (train : Suite.sample list) : stage3_result =
   let engine = resolve_engine ~opts engine in
   let samples = Array.of_list train in
-  let curriculum = Array.of_list opts.curriculum in
   let rcfg =
     {
       Reward.default_config with
@@ -379,7 +361,7 @@ let train_latency ?(opts = default_options) ?engine (correctness : Model.t)
   in
   let step_fn (st : stage_state) =
     let model = st.st_model and rng = st.st_rng in
-    let s = pick_sample ~opts ~curriculum samples rng in
+    let s = sample_at samples rng in
     let baseline = Latency.of_func s.Suite.src in
     let group =
       List.init opts.group_size (fun _ ->

@@ -26,15 +26,6 @@ type options = {
           [engine]: [Some Proc] gives each stage a dedicated engine whose
           SMT queries run in forked, SIGKILL-able workers; [None] (default)
           defers to the engine's own [VERIOPT_ISOLATE] resolution *)
-  curriculum : Suite.sample list;
-      (** extra samples oversampled during GRPO — typically
-          {!Veriopt_adversary.Miner.curriculum_samples} of a mined pain
-          corpus.  Empty (the default) leaves the sampling RNG trajectory
-          bit-identical to older runs *)
-  curriculum_share : float;
-      (** probability that a GRPO step draws from [curriculum] instead of
-          the training set (default 0.25; only consulted when [curriculum]
-          is non-empty) *)
 }
 
 val default_options : options

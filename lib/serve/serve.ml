@@ -7,13 +7,10 @@ module Fault = Veriopt_fault.Fault
 
 type priority = Interactive | Bulk
 
-let priority_name = function Interactive -> "interactive" | Bulk -> "bulk"
-
 type reject_reason =
   | Queue_full
   | Displaced
   | Deadline_unmeetable
-  | Breaker_open
   | Expired
   | Draining
   | Disconnected
@@ -22,7 +19,6 @@ let reason_name = function
   | Queue_full -> "queue_full"
   | Displaced -> "displaced"
   | Deadline_unmeetable -> "deadline_unmeetable"
-  | Breaker_open -> "breaker_open"
   | Expired -> "expired"
   | Draining -> "draining"
   | Disconnected -> "disconnected"
@@ -84,7 +80,6 @@ type stats = {
   engine_calls : int;
   coalesced : int;
   admission_refused : int;
-  breaker_refused : int;
   shed_queue_full : int;
   shed_displaced : int;
   shed_expired : int;
@@ -125,7 +120,6 @@ type t = {
   mutable n_engine_calls : int;
   mutable n_coalesced : int;
   mutable n_admission_refused : int;
-  mutable n_breaker_refused : int;
   mutable n_shed_queue_full : int;
   mutable n_shed_displaced : int;
   mutable n_shed_expired : int;
@@ -323,10 +317,6 @@ let submit ?(priority = Bulk) ?deadline ?unroll ?max_conflicts t (m : Ast.modul)
       (Printf.sprintf "remaining budget %.1fms below estimated service time"
          ((deadline -. tnow) *. 1e3))
   end
-  else if t.cfg.admission && priority = Bulk && Engine.breaker_open t.sv_engine then begin
-    t.n_breaker_refused <- t.n_breaker_refused + 1;
-    rejected_ticket Breaker_open "circuit breaker open: tier 2 would be skipped"
-  end
   else begin
     let key =
       if t.cfg.coalesce then
@@ -514,7 +504,6 @@ let create ?(config = default_config) ~engine () =
       n_engine_calls = 0;
       n_coalesced = 0;
       n_admission_refused = 0;
-      n_breaker_refused = 0;
       n_shed_queue_full = 0;
       n_shed_displaced = 0;
       n_shed_expired = 0;
@@ -601,7 +590,6 @@ let stats t : stats =
         engine_calls = t.n_engine_calls;
         coalesced = t.n_coalesced;
         admission_refused = t.n_admission_refused;
-        breaker_refused = t.n_breaker_refused;
         shed_queue_full = t.n_shed_queue_full;
         shed_displaced = t.n_shed_displaced;
         shed_expired = t.n_shed_expired;

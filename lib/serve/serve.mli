@@ -27,8 +27,6 @@
 
 type priority = Interactive | Bulk
 
-val priority_name : priority -> string
-
 type reject_reason =
   | Queue_full  (** the bounded queue was full and the shed policy found no
                     victim cheaper than the newcomer *)
@@ -36,9 +34,6 @@ type reject_reason =
   | Deadline_unmeetable
       (** admission control: estimated queue wait + service time exceeds the
           remaining client budget, so the request is refused up front *)
-  | Breaker_open
-      (** admission control: the engine's circuit breaker is open and the
-          request is [Bulk] — tier 2 would be skipped anyway *)
   | Expired  (** the deadline passed while the request sat in the queue *)
   | Draining  (** the service is draining (or drained) and admits nothing *)
   | Disconnected  (** the client vanished before its result was ready
@@ -56,7 +51,7 @@ type config = {
   interactive_deadline_s : float;
       (** default client budget for [Interactive] submissions *)
   bulk_deadline_s : float;  (** default client budget for [Bulk] submissions *)
-  admission : bool;  (** EWMA + breaker admission control at submit *)
+  admission : bool;  (** EWMA admission control at submit *)
   coalesce : bool;  (** in-queue coalescing of alpha-equivalent queries *)
 }
 
@@ -153,7 +148,6 @@ type stats = {
   engine_calls : int;  (** engine invocations actually dispatched *)
   coalesced : int;  (** waiters attached to an existing queued/running entry *)
   admission_refused : int;  (** [Deadline_unmeetable] refusals at submit *)
-  breaker_refused : int;  (** [Breaker_open] refusals at submit *)
   shed_queue_full : int;  (** newcomers rejected on a full queue *)
   shed_displaced : int;  (** queued waiters displaced by the shed policy *)
   shed_expired : int;  (** waiters whose deadline passed in the queue *)

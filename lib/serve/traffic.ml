@@ -173,8 +173,8 @@ let pp_summary ppf (s : summary) =
   Fmt.pf ppf "  latency ms: interactive p50 %.1f p99 %.1f | bulk p50 %.1f p99 %.1f@."
     s.p50_interactive_ms s.p99_interactive_ms s.p50_bulk_ms s.p99_bulk_ms;
   Fmt.pf ppf
-    "  serve: engine calls %d coalesced %d admission refused %d breaker refused %d@."
-    sv.Serve.engine_calls sv.Serve.coalesced sv.Serve.admission_refused sv.Serve.breaker_refused;
+    "  serve: engine calls %d coalesced %d admission refused %d@." sv.Serve.engine_calls
+    sv.Serve.coalesced sv.Serve.admission_refused;
   Fmt.pf ppf "  shed: queue-full %d displaced %d expired %d drain %d | depth max %d@."
     sv.Serve.shed_queue_full sv.Serve.shed_displaced sv.Serve.shed_expired sv.Serve.shed_drain
     sv.Serve.depth_max;
@@ -205,7 +205,6 @@ let json_of_summary ~name ~extra (s : summary) : string =
   kv "  \"engine_calls\": %d,\n" sv.Serve.engine_calls;
   kv "  \"coalesced\": %d,\n" sv.Serve.coalesced;
   kv "  \"admission_refused\": %d,\n" sv.Serve.admission_refused;
-  kv "  \"breaker_refused\": %d,\n" sv.Serve.breaker_refused;
   kv "  \"shed_queue_full\": %d,\n" sv.Serve.shed_queue_full;
   kv "  \"shed_displaced\": %d,\n" sv.Serve.shed_displaced;
   kv "  \"shed_expired\": %d,\n" sv.Serve.shed_expired;

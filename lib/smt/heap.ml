@@ -59,19 +59,6 @@ let insert t v =
 
 let size t = t.size
 
-(** Remove an arbitrary element, restoring heap order around the hole. *)
-let remove t v =
-  if in_heap t v then (
-    let i = t.pos.(v) in
-    t.size <- t.size - 1;
-    t.pos.(v) <- -1;
-    if i < t.size then (
-      let moved = t.heap.(t.size) in
-      t.heap.(i) <- moved;
-      t.pos.(moved) <- i;
-      sift_up t i;
-      sift_down t i))
-
 let pop_max t =
   let top = t.heap.(0) in
   t.size <- t.size - 1;

@@ -9,7 +9,4 @@ val size : t -> int
 val insert : t -> int -> unit
 val pop_max : t -> int
 
-val remove : t -> int -> unit
-(** Remove an arbitrary element (no-op if absent), restoring heap order. *)
-
 val notify_increase : t -> int -> unit

@@ -572,9 +572,6 @@ let db_stats t =
     lbd_hist = Array.copy t.lbd_hist;
   }
 
-let num_vars t = t.nvars
-let num_clauses t = t.nclauses
-
 (* ------------------------------------------------------------------ *)
 (* Structural invariants of the clause DB, for the fuzz harness.  Raises
    [Failure] on violation. *)

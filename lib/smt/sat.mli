@@ -82,9 +82,6 @@ type db_stats = {
 
 val db_stats : t -> db_stats
 
-val num_vars : t -> int
-val num_clauses : t -> int
-
 val check_invariants : t -> unit
 (** Structural invariants of the clause DB — no deleted clause is watched,
     is a reason, or lingers in the learnt index; counters are consistent.

@@ -38,16 +38,6 @@ let backend_tests =
               (Printer.func_to_string s.S.src)
               (Printer.func_to_string o.B.output))
           ds.S.samples);
-    Alcotest.test_case "best-of-both never loses to instcombine" `Quick (fun () ->
-        let ds = S.build ~verify:false ~seed0:2026 ~n:5 () in
-        let model = Cap.base_3b () in
-        List.iter
-          (fun (s : S.sample) ->
-            let best, _ = B.optimize_best_of_both model s.S.modul s.S.src in
-            let ic, _ = Veriopt_passes.Pass_manager.instcombine s.S.modul s.S.src in
-            Alcotest.(check bool) "<= instcombine latency" true
-              (Veriopt_cost.Latency.of_func best <= Veriopt_cost.Latency.of_func ic))
-          ds.S.samples);
   ]
 
 let evaluate_tests =
@@ -90,10 +80,9 @@ let evaluate_tests =
 
 (* ------------------------------------------------------------------ *)
 (* The SAT core's containers: the removal operations the clause-DB reducer
-   leans on (watch-list detach, learnt-index compaction, heap surgery). *)
+   leans on (watch-list detach, learnt-index compaction). *)
 
 module Vec = Veriopt_smt.Vec
-module Heap = Veriopt_smt.Heap
 
 let container_tests =
   [
@@ -123,39 +112,6 @@ let container_tests =
         Alcotest.(check (list int)) "evens in order" [ 2; 4; 6 ] (Vec.to_list v);
         Vec.filter_in_place (fun _ -> false) v;
         Alcotest.(check int) "empty after filtering all" 0 (Vec.length v));
-    Alcotest.test_case "Heap remove keeps max-heap order" `Quick (fun () ->
-        let act = Array.init 10 (fun i -> float_of_int (i * 7 mod 10)) in
-        let h = Heap.create ~capacity:10 ~score:(fun v -> act.(v)) in
-        for v = 0 to 9 do
-          Heap.insert h v
-        done;
-        Alcotest.(check int) "size" 10 (Heap.size h);
-        (* remove the max, a middle element and the min *)
-        Heap.remove h 7 (* act 9.0: the max *);
-        Heap.remove h 5 (* act 5.0: middle *);
-        Heap.remove h 0 (* act 0.0: min *);
-        Alcotest.(check int) "size after removes" 7 (Heap.size h);
-        Alcotest.(check bool) "removed not in heap" false
-          (Heap.in_heap h 7 || Heap.in_heap h 5 || Heap.in_heap h 0);
-        (* the survivors drain in strictly decreasing activity order *)
-        let drained = ref [] in
-        while Heap.size h > 0 do
-          drained := Heap.pop_max h :: !drained
-        done;
-        let order = List.rev !drained in
-        let rec sorted = function
-          | a :: (b :: _ as rest) -> act.(a) >= act.(b) && sorted rest
-          | _ -> true
-        in
-        Alcotest.(check bool) "drain order matches activities" true (sorted order);
-        Alcotest.(check int) "all survivors drained" 7 (List.length order));
-    Alcotest.test_case "Heap remove of absent element is a no-op" `Quick (fun () ->
-        let h = Heap.create ~capacity:4 ~score:float_of_int in
-        Heap.insert h 2;
-        Heap.remove h 3;
-        (* never inserted *)
-        Alcotest.(check int) "size unchanged" 1 (Heap.size h);
-        Alcotest.(check int) "max intact" 2 (Heap.pop_max h));
   ]
 
 let suite = ("core", backend_tests @ evaluate_tests @ container_tests)

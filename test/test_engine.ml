@@ -185,21 +185,6 @@ let satellite_tests =
    share a cache key *)
 let hostile_pair w = Veriopt_serve.Workload.assoc_pair w
 
-let easy_pair w =
-  let m =
-    Parser.parse_module
-      (Printf.sprintf "define i%d @f(i%d %%x) {\nentry:\n  %%r = add i%d %%x, 0\n  ret i%d %%r\n}"
-         w w w w)
-  in
-  let src = List.hd m.Ast.funcs in
-  let tgt =
-    List.hd
-      (Parser.parse_module
-         (Printf.sprintf "define i%d @f(i%d %%x) {\nentry:\n  ret i%d %%x\n}" w w w))
-      .Ast.funcs
-  in
-  (m, src, tgt)
-
 (* a counting loop against a constant: cyclic, so the bounded encoding and
    the iterative-deepening incremental session engage *)
 let loop_pair ?(bound = 3) ?(ret = 3) () =
@@ -263,43 +248,8 @@ let incremental_tests =
           (loop_pair ~bound:100 ~ret:100 ()));
   ]
 
-let breaker_tests =
+let deadline_tests =
   [
-    Alcotest.test_case "half-open trial: a conclusive verdict closes the breaker" `Quick
-      (fun () ->
-        (* k=2 trips after two inconclusive tier-2 runs; cooldown=2 skips
-           the next two would-be runs; the call after that is the trial *)
-        let e = Engine.create ~tier1_samples:0 ~breaker_k:2 ~breaker_cooldown:2 () in
-        let hostile w =
-          let m, src, tgt = hostile_pair w in
-          (Engine.verify_funcs ~max_conflicts:64 e m ~src ~tgt).A.category
-        in
-        let easy w =
-          let m, src, tgt = easy_pair w in
-          (Engine.verify_funcs e m ~src ~tgt).A.category
-        in
-        Alcotest.check category "starved solver is inconclusive" A.Inconclusive (hostile 11);
-        Alcotest.check category "second strike trips" A.Inconclusive (hostile 12);
-        let st = Engine.stats e in
-        Alcotest.(check int) "tripped once" 1 st.Vcache.breaker_trips;
-        Alcotest.(check int) "two real tier-2 runs" 2 st.Vcache.tier2_runs;
-        (* open: even a trivially-equivalent pair is skipped and widened *)
-        Alcotest.check category "skip 1 widens a hostile query" A.Inconclusive (hostile 13);
-        Alcotest.check category "skip 2 widens an easy query" A.Inconclusive (easy 9);
-        let st = Engine.stats e in
-        Alcotest.(check int) "both skips counted" 2 st.Vcache.breaker_skips;
-        Alcotest.(check int) "no tier-2 while open" 2 st.Vcache.tier2_runs;
-        (* half-open: the trial runs for real, and a conclusive verdict
-           closes the breaker *)
-        Alcotest.check category "trial runs and concludes" A.Equivalent (easy 10);
-        Alcotest.check category "closed: hostile runs again" A.Inconclusive (hostile 14);
-        let st = Engine.stats e in
-        Alcotest.(check int) "trial + reopened traffic ran tier 2" 4 st.Vcache.tier2_runs;
-        Alcotest.(check int) "no further skips" 2 st.Vcache.breaker_skips;
-        Alcotest.(check int) "no further trips" 1 st.Vcache.breaker_trips;
-        (* the skipped verdict was transient: the same easy query now
-           resolves conclusively instead of replaying a cached widening *)
-        Alcotest.check category "skipped verdict was never cached" A.Equivalent (easy 9));
     Alcotest.test_case "deadline-expired verdicts are never cached" `Quick (fun () ->
         let e = Engine.create ~tier1_samples:0 () in
         let m, src, tgt = hostile_pair 12 in
@@ -490,4 +440,4 @@ let divergence_tests =
 let suite =
   ( "engine",
     cached_matches_fresh_tests @ tier1_tests @ cache_tests @ par_tests @ satellite_tests
-    @ incremental_tests @ breaker_tests @ report_tests @ fuel_tests @ divergence_tests )
+    @ incremental_tests @ deadline_tests @ report_tests @ divergence_tests @ fuel_tests )

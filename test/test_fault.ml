@@ -1,5 +1,5 @@
 (* The resilience layer: fault-spec parsing and determinism, wall-clock
-   deadlines, the circuit breaker, the crash-proof reward path, and
+   deadlines and the verdicts they widen, the crash-proof reward path, and
    checkpoint/resume (kill-and-resume must be bit-identical).
 
    Every test that arms injection disables it again in a [Fun.protect]
@@ -118,69 +118,21 @@ let deadline_tests =
         Alcotest.check category "expired run inconclusive" A.Inconclusive v1.A.category;
         let st = Engine.stats e in
         Alcotest.(check int) "nothing cached" 0 st.Vcache.insertions);
-  ]
-
-(* ------------------------------------------------------------------ *)
-
-let breaker_tests =
-  [
-    Alcotest.test_case "breaker state machine: trip, cooldown, half-open" `Quick (fun () ->
-        let (c : unit Vcache.t) = Vcache.create () in
-        let note inconclusive = Vcache.breaker_note c ~inconclusive ~k:2 ~cooldown:3 in
-        Alcotest.(check bool) "closed: no skip" false (Vcache.breaker_skip c);
-        note true;
-        note true;
-        (* tripped: 3 skips, then half-open *)
-        Alcotest.(check bool) "open" true (Vcache.breaker_skip c);
-        Alcotest.(check bool) "open" true (Vcache.breaker_skip c);
-        Alcotest.(check bool) "open" true (Vcache.breaker_skip c);
-        Alcotest.(check bool) "half-open lets the trial through" false (Vcache.breaker_skip c);
-        (* conclusive trial closes it *)
-        note false;
-        Alcotest.(check bool) "closed again" false (Vcache.breaker_skip c);
-        (* re-trip needs k consecutive again, then an inconclusive trial
-           re-opens immediately *)
-        note true;
-        note true;
-        for _ = 1 to 3 do
-          ignore (Vcache.breaker_skip c)
-        done;
-        note true;
-        Alcotest.(check bool) "half-open failure re-trips" true (Vcache.breaker_skip c);
-        let st = Vcache.stats c in
-        Alcotest.(check int) "trips" 3 st.Vcache.breaker_trips;
-        Alcotest.(check bool) "skips counted" true (st.Vcache.breaker_skips >= 7));
-    Alcotest.test_case "100% solver timeouts: breaker trips, verdicts only widen" `Quick
-      (fun () ->
+    Alcotest.test_case "100% solver timeouts: verdicts only widen" `Quick (fun () ->
         let ds = S.build ~verify:false ~seed0:99221 ~n:8 () in
-        let clean_engine = Engine.create () in
-        let clean =
+        let verdicts e =
           List.map
             (fun (s : S.sample) ->
-              (Engine.verify_funcs clean_engine s.S.modul ~src:s.S.src ~tgt:s.S.label)
-                .A.category)
+              (Engine.verify_funcs e s.S.modul ~src:s.S.src ~tgt:s.S.label).A.category)
             ds.S.samples
         in
-        let chaos =
-          with_faults "seed=5,solver_timeout=1" (fun () ->
-              let e = Engine.create ~breaker_k:2 ~breaker_cooldown:4 () in
-              let cats =
-                List.map
-                  (fun (s : S.sample) ->
-                    (Engine.verify_funcs e s.S.modul ~src:s.S.src ~tgt:s.S.label).A.category)
-                  ds.S.samples
-              in
-              (cats, Engine.stats e))
-        in
-        let cats, st = chaos in
+        let clean = verdicts (Engine.create ()) in
+        let chaos = with_faults "seed=5,solver_timeout=1" (fun () -> verdicts (Engine.create ())) in
         List.iter2
           (fun cl ch ->
             if ch <> cl then
               Alcotest.check category "faults may only widen to Inconclusive" A.Inconclusive ch)
-          clean cats;
-        Alcotest.(check bool) "breaker tripped at least once" true
-          (st.Vcache.breaker_trips >= 1);
-        Alcotest.(check bool) "skips counted" true (st.Vcache.breaker_skips >= 1));
+          clean chaos);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -286,9 +238,7 @@ let vcache_tests =
           9;
         Vcache.reset c;
         let st = Vcache.stats c in
-        Alcotest.(check int) "no entries after reset" 0 st.Vcache.entries;
-        Alcotest.(check int) "breaker counters zeroed" 0
-          (st.Vcache.breaker_trips + st.Vcache.breaker_skips));
+        Alcotest.(check int) "no entries after reset" 0 st.Vcache.entries);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -459,5 +409,5 @@ let proc_chaos_tests =
 
 let suite =
   ( "fault",
-    spec_tests @ deadline_tests @ breaker_tests @ crash_proof_tests @ par_jobs_tests
+    spec_tests @ deadline_tests @ crash_proof_tests @ par_jobs_tests
     @ vcache_tests @ checkpoint_tests @ proc_chaos_tests )

@@ -1,5 +1,5 @@
 (* The overload-safe serving layer: queue priorities and shedding,
-   EWMA/breaker admission control, in-queue coalescing of alpha-equivalent
+   EWMA admission control, in-queue coalescing of alpha-equivalent
    queries, graceful drain, and chaos behavior under seeded faults plus
    real worker kills.
 
